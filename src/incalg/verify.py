@@ -1,12 +1,15 @@
 """The theorem harness: exhaustive censuses, normal-form classification,
 lemma suites, criteria checks, and pinned example reproductions.
 
-The census iterates every d x d matrix over a prime field in row-major
-scalar order, filters by "unital and preserves invertibility", classifies
-each survivor into its normal form, and cross-checks the survivor count
-against the count predicted by the normal-form parametrization. The matrix
-space can be split into index ranges and partial censuses merged, so runs
-are resumable and deterministic.
+The census decides every d x d matrix over a prime field, in row-major
+scalar order, by the filter "unital and preserves invertibility". The
+filter is a conjunction of single-row conditions, so it is applied row by
+row: the survivors are the product of the admissible rows, and no matrix
+of the q^(d^2) space is skipped or decided by the theorem side. Each
+survivor is classified into its normal form, and the survivor count is
+cross-checked against the count predicted by the normal-form
+parametrization. The matrix space can be split into index ranges and
+partial censuses merged, so runs are resumable and deterministic.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from .endos import (
     to_partition,
     to_xor_endo,
 )
-from .errors import ClassificationError, GateError, InfiniteFieldError
+from .errors import ClassificationError, GateError, IncalgError, InfiniteFieldError
 from .fields import Field, PrimeField, format_field
 from .posets import Poset
 from .preservers import (
@@ -44,6 +47,7 @@ from .preservers import (
     is_strong,
     iter_idempotents,
     linear_map_to_json,
+    matrix_rank,
     preserves_idempotents,
     preserves_inverses,
     preserves_invertibility,
@@ -206,76 +210,65 @@ def enumerate_specs(poset: Poset, field: PrimeField) -> Iterator[PreserverSpec]:
     n, d = poset.n, poset.dimension
     m = d - n
     regime = "xor" if field.p == 2 else "boolean"
-    elems = [s.value for s in field.elements()]
+    elems = range(field.p)
     zero_rows = [[field.zero] * d for _ in range(n)]
-
-    def radical_rows() -> Iterator[list[list]]:
-        # one row per radical coordinate; diagonal entries must sum to zero
-        row_choices = []
-        for head in product(elems, repeat=n - 1):
-            last = (-sum(head)) % field.p
-            for tail in product(elems, repeat=m):
-                row_choices.append(tuple(head) + (last,) + tail)
-        for combo in product(row_choices, repeat=m):
-            yield [list(r) for r in combo]
-
+    row_choices = [_psi_row(field, head, tail)
+                   for head in product(elems, repeat=n - 1)
+                   for tail in product(elems, repeat=m)]
     for endo in enumerate_endos(poset.elements, regime, gate_override=True):
-        for rows in radical_rows():
-            psi = LinearMap.from_rows(poset, field, [list(r) for r in zero_rows] + rows)
+        for rows in product(row_choices, repeat=m):
+            psi = LinearMap(poset, field, zero_rows + list(rows))
             yield PreserverSpec(poset, field, endo, psi)
 
 
+def _psi_row(field: Field, head, tail) -> list:
+    """One radical-output row of a radical map annihilating the identity:
+    the free diagonal entries ``head``, minus their sum (so the diagonal
+    entries sum to zero), then the radical entries ``tail``."""
+    head = [field.scalar(v) for v in head]
+    last = field.zero
+    for s in head:
+        last = last - s
+    return head + [last] + [field.scalar(v) for v in tail]
+
+
 # the brute-force kernel -------------------------------------------------------
-
-def _matrix_digits_at(index: int, cells: int, q: int) -> list[int]:
-    digits = [0] * cells
-    for k in range(cells - 1, -1, -1):
-        index, digits[k] = divmod(index, q)
-    return digits
-
-
-def _raw_filter(digits: list[int], n: int, d: int, q: int,
-                nonzero_diags: list[tuple[int, ...]], unital: bool) -> bool:
-    """Unital (optional) + invertibility-preserving filter on raw digits."""
-    for i in range(n):
-        row = digits[i * d:(i + 1) * d]
-        for j in range(n, d):
-            if row[j]:
-                return False
-        if unital and sum(row[:n]) % q != 1:
-            return False
-        for v in nonzero_diags:
-            s = 0
-            for j in range(n):
-                s += row[j] * v[j]
-            if s % q == 0:
-                return False
-    if unital:
-        for i in range(n, d):
-            if sum(digits[i * d:i * d + n]) % q != 0:
-                return False
-    return True
-
 
 def _iter_preserver_matrices(poset: Poset, field: PrimeField, start: int,
                              stop: int, unital: bool = True
                              ) -> Iterator[tuple[int, tuple[tuple[int, ...], ...]]]:
     """Yield (index, rows) for every matrix in [start, stop) passing the
-    unital/preserver filter. Matrices are visited in row-major scalar order."""
+    unital/preserver filter, in row-major scalar order.
+
+    Every condition of the filter reads one row: a diagonal-output row is
+    zero on the radical columns, has diagonal sum 1 (when unital) and is
+    nonzero on every nonzero diagonal pattern; a radical-output row has
+    diagonal sum 0 (when unital). So the survivors are the Cartesian
+    product of the admissible rows, each found by one scan of the q^d row
+    vectors. A matrix's index is its rows read as base-q digits, so the
+    product over ascending row lists runs in index order.
+    """
     n, d = poset.n, poset.dimension
     q = field.p
-    cells = d * d
-    nonzero_diags = list(product(range(1, q), repeat=n))
-    digits = _matrix_digits_at(start, cells, q)
-    for index in range(start, stop):
-        if _raw_filter(digits, n, d, q, nonzero_diags, unital):
-            rows = tuple(tuple(digits[i * d:(i + 1) * d]) for i in range(d))
-            yield index, rows
-        for k in range(cells - 1, -1, -1):  # odometer increment
-            digits[k] += 1
-            if digits[k] < q:
-                break
-            digits[k] = 0
+    diagonal_rows, radical_rows = [], []
+    for code, row in enumerate(product(range(q), repeat=d)):
+        head = row[:n]
+        diagonal_sum = sum(head) % q
+        if not unital or diagonal_sum == 0:
+            radical_rows.append((code, row))
+        if (not any(row[n:]) and (not unital or diagonal_sum == 1)
+                and all(sum(a * b for a, b in zip(head, v)) % q
+                        for v in product(range(1, q), repeat=n))):
+            diagonal_rows.append((code, row))
+    row_space = q**d
+    for choice in product(*[diagonal_rows] * n, *[radical_rows] * (d - n)):
+        index = 0
+        for code, _ in choice:
+            index = index * row_space + code
+        if index >= stop:
+            return
+        if index >= start:
+            yield index, tuple(row for _, row in choice)
 
 
 def _census_gate(poset: Poset, field: Field, gate_override: bool) -> int:
@@ -293,16 +286,17 @@ def enumerate_preservers(poset: Poset, field: PrimeField, start: int = 0,
                          gate_override: bool = False) -> CensusReport:
     """Brute-force census of unital invertibility preservers.
 
-    Iterates all q^(d^2) matrices (or the index range [start, stop)),
-    classifies each survivor, and records its normal form together with
-    strongness and bijectivity.
+    Decides every one of the q^(d^2) matrices (or of the index range
+    [start, stop)) by the unital/preserver filter, applied row by row;
+    the q^(d^2) gate is unchanged. Each survivor is classified and recorded
+    with its normal form, strongness and bijectivity.
     """
     t0 = time.perf_counter()
     space = _census_gate(poset, field, gate_override)
     if stop is None:
         stop = space
     if not 0 <= start <= stop <= space:
-        raise ValueError(f"bad census range [{start}, {stop}) for space {space}")
+        raise IncalgError(f"bad census range [{start}, {stop}) for space {space}")
     records = []
     for index, rows in _iter_preserver_matrices(poset, field, start, stop):
         phi = LinearMap.from_rows(poset, field, rows)
@@ -519,44 +513,17 @@ def random_preserver_spec(poset: Poset, field: Field,
     rows = [[field.zero] * d for _ in range(n)]
     for _ in range(m):
         head = [random_value() for _ in range(n - 1)]
-        head_scalars = [field.scalar(v) for v in head]
-        last_scalar = field.zero
-        for s in head_scalars:
-            last_scalar = last_scalar - s
-        tail = [field.scalar(random_value()) for _ in range(m)]
-        rows.append(head_scalars + [last_scalar] + tail)
+        tail = [random_value() for _ in range(m)]
+        rows.append(_psi_row(field, head, tail))
     return PreserverSpec(poset, field, endo, LinearMap(poset, field, rows))
 
 
 # criteria ---------------------------------------------------------------------
 
 def _psi_radical_block_invertible(spec: PreserverSpec) -> bool:
-    n, d = spec.poset.n, spec.poset.dimension
-    m = d - n
-    if m == 0:
-        return True
-    block = [list(spec.radical_map.rows[i][n:]) for i in range(n, d)]
-    return _scalar_matrix_rank(block) == m
-
-
-def _scalar_matrix_rank(rows: list[list]) -> int:
-    rows = [list(r) for r in rows]
-    height = len(rows)
-    width = len(rows[0]) if rows else 0
-    rank = 0
-    for col in range(width):
-        pivot = next((r for r in range(rank, height) if rows[r][col]), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = rows[rank][col].inverse()
-        rows[rank] = [inv * v for v in rows[rank]]
-        for r in range(height):
-            if r != rank and rows[r][col]:
-                f = rows[r][col]
-                rows[r] = [v - f * w for v, w in zip(rows[r], rows[rank])]
-        rank += 1
-    return rank
+    n = spec.poset.n
+    block = [row[n:] for row in spec.radical_map.rows[n:]]
+    return matrix_rank(block) == len(block)
 
 
 def verify_criteria(spec: PreserverSpec,

@@ -181,6 +181,24 @@ def test_missing_file_exits_two(capsys):
     assert "no-such-file" in captured.err
 
 
+def test_directory_argument_exits_two(tmp_path, capsys):
+    for argv in (["check", "--map", str(tmp_path)],
+                 ["census", "--poset", str(tmp_path), "--field", "Fp", "2"],
+                 ["build", "--spec", str(tmp_path)]):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2, argv
+        assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+
+
+def test_census_reversed_range_exits_two(capsys):
+    code = main(["census", "--poset", "chain:2", "--field", "Fp", "3",
+                 "--start", "5", "--stop", "2"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == "error: bad census range [5, 2) for space 19683\n"
+
+
 def test_out_flag_writes_file(tmp_path, capsys):
     out_path = tmp_path / "report.json"
     code = main(["examples", "z2-not-jordan", "--json", "--out", str(out_path)])

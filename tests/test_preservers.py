@@ -12,6 +12,7 @@ from incalg import (
     ParseError,
     PartitionEndo,
     PreserverSpec,
+    PrimeField,
     XorEndo,
     basis_element,
     build_preserver,
@@ -311,6 +312,20 @@ def test_gate_errors():
     five = builtin_poset("chain:5")
     with pytest.raises(GateError):
         preserves_inverses(LinearMap.identity(five, F3))
+
+
+def test_diagonal_scans_gate_before_listing_the_field(monkeypatch):
+    big = PrimeField(1_000_003)
+    phi = LinearMap.identity(builtin_poset("chain:1"), big)
+
+    def refuse(self):
+        raise AssertionError("field elements listed before the gate")
+
+    monkeypatch.setattr(PrimeField, "elements", refuse)
+    with pytest.raises(GateError):
+        find_nonpreserved_unit(phi)
+    with pytest.raises(GateError):
+        find_strongness_counterexample(phi)
 
 
 def test_linear_map_file_round_trip(tmp_path):
