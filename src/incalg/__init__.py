@@ -33,6 +33,7 @@ from .errors import (
     NotAUnitError,
     ParseError,
     PosetError,
+    ScalarError,
 )
 from .fields import Field, PrimeField, Rationals, Scalar, format_field, parse_field
 from .posets import Poset, builtin_poset, format_poset, parse_poset, resolve_poset

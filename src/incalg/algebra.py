@@ -1,7 +1,10 @@
 """The incidence algebra I(X,K) of a finite poset X over an exact field K.
 
 Elements are dense coefficient vectors over the canonical basis (diagonal
-pairs first, then strict pairs); the product is convolution. Inversion uses
+pairs first, then strict pairs); the product is convolution. Coefficients
+are ``Scalar``s of the element's field, checked at construction, so the
+convolution can run on their plain values: each output coordinate is summed
+as an ``int`` (a ``Fraction`` over Q) and reduced once. Inversion uses
 the nilpotency of the strict-triangular part instead of elimination: with
 ``a = d(1 + nu)``, ``d`` the diagonal part and ``nu = d^{-1} a_J``, the
 inverse is ``(sum_{k<c} (-nu)^k) d^{-1}`` where ``c`` bounds chain length.
@@ -35,6 +38,7 @@ class FIElement:
         if len(self.coeffs) != poset.dimension:
             raise MismatchError(
                 f"expected {poset.dimension} coefficients, got {len(self.coeffs)}")
+        field.check_scalars(self.coeffs)
 
     # construction -----------------------------------------------------
 
@@ -108,14 +112,11 @@ class FIElement:
     def __mul__(self, other: "FIElement") -> "FIElement":
         """Convolution: (ab)_{xy} = sum over x <= z <= y of a_{xz} b_{zy}."""
         self._check_compat(other)
-        a, b = self.coeffs, other.coeffs
-        zero = self.field.zero
-        out = []
-        for terms in self.poset.convolution_plan:
-            acc = zero
-            for i, j in terms:
-                acc = acc + a[i] * b[j]
-            out.append(acc)
+        a = [c.value for c in self.coeffs]
+        b = [c.value for c in other.coeffs]
+        reduce = self.field.reduce
+        out = [reduce(sum([a[i] * b[j] for i, j in terms if a[i] and b[j]]))
+               for terms in self.poset.convolution_plan]
         return FIElement(self.poset, self.field, out)
 
     def decompose(self) -> tuple["FIElement", "FIElement"]:

@@ -286,6 +286,10 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except UnicodeDecodeError as exc:
+        print(f"error: input file is not UTF-8 text ({exc.reason} at byte {exc.start})",
+              file=sys.stderr)
+        return 2
     except IncalgError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

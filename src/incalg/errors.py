@@ -9,6 +9,12 @@ class FieldMismatchError(IncalgError):
     """Operands belong to different coefficient fields."""
 
 
+class ScalarError(IncalgError):
+    """A value that is not an exact scalar of the field: a float, a
+    non-integral value for a prime field, or a raw number where a
+    ``Scalar`` is required."""
+
+
 class InfiniteFieldError(IncalgError):
     """An exhaustive operation was requested over the rationals."""
 

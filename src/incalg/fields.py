@@ -2,14 +2,22 @@
 
 Scalars are immutable canonical values (an integer in ``[0, p)`` for prime
 fields, a reduced ``Fraction`` for the rationals) tagged with their field.
-No floating point is used anywhere.
+No floating point is used anywhere: ``Field.scalar`` refuses floats.
+
+``Scalar`` is the type at every API boundary, and its operators serve the
+code that is not hot. The hot kernels (``LinearMap.apply``, convolution
+and the diagonal-pattern scans) compute on the plain ``.value``s instead:
+they accumulate a plain ``int`` (or a ``Fraction`` over Q) and hand it to
+``Field.reduce``, which reduces once and wraps once. Those kernels do not
+check operands per operation, so field membership is checked when an
+element or a map is constructed, by ``Field.check_scalars``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import FieldMismatchError, InfiniteFieldError, ParseError
+from .errors import FieldMismatchError, InfiniteFieldError, ParseError, ScalarError
 
 MAX_PRIME = 2**31 - 1
 
@@ -39,7 +47,24 @@ class Field:
     characteristic: int
 
     def scalar(self, value) -> "Scalar":
+        """The scalar of an int, a ``Fraction``, a string (over Q) or a
+        scalar of this field. Floats and, over F_p, non-integral values
+        raise :class:`ScalarError`."""
         raise NotImplementedError
+
+    def reduce(self, value) -> "Scalar":
+        """Reduce a value computed on plain ``.value``s to canonical form and
+        wrap it; the input is trusted, so nothing is type-checked."""
+        raise NotImplementedError
+
+    def check_scalars(self, values) -> None:
+        """Raise unless every value is a :class:`Scalar` of this field."""
+        for v in values:
+            if not isinstance(v, Scalar):
+                raise ScalarError(
+                    f"expected a scalar of {self}, got {type(v).__name__} {v!r}")
+            if v.field is not self and v.field != self:
+                raise FieldMismatchError(f"scalar from {v.field} used in {self}")
 
     @property
     def zero(self) -> "Scalar":
@@ -85,7 +110,15 @@ class PrimeField(Field):
             if value.field != self:
                 raise FieldMismatchError(f"scalar from {value.field} used in {self}")
             return value
-        return Scalar(self, int(value) % self.p)
+        value = _exact(value, self)
+        if isinstance(value, Fraction):
+            if value.denominator != 1:
+                raise ScalarError(f"non-integral value {value} for {self}")
+            value = value.numerator
+        return self.reduce(value)
+
+    def reduce(self, value) -> "Scalar":
+        return Scalar(self, value % self.p)
 
     def elements(self) -> list["Scalar"]:
         return [Scalar(self, v) for v in range(self.p)]
@@ -122,7 +155,11 @@ class Rationals(Field):
             if value.field != self:
                 raise FieldMismatchError(f"scalar from {value.field} used in {self}")
             return value
-        return Scalar(self, Fraction(value))
+        return self.reduce(_exact(value, self))
+
+    def reduce(self, value) -> "Scalar":
+        # a sum over no terms is the int 0; Fraction(Fraction) would be slow
+        return Scalar(self, value if type(value) is Fraction else Fraction(value))
 
     def elements(self) -> list["Scalar"]:
         raise InfiniteFieldError("cannot enumerate an infinite field")
@@ -145,6 +182,19 @@ class Rationals(Field):
 
     def __repr__(self) -> str:
         return "Q"
+
+
+def _exact(value, field: Field) -> int | Fraction:
+    """An int or ``Fraction`` input as is, a string as an exact ``Fraction``;
+    anything else (a float above all) raises :class:`ScalarError`."""
+    if isinstance(value, (int, Fraction)):
+        return value
+    if isinstance(value, str):
+        try:
+            return Fraction(value)
+        except (ValueError, ZeroDivisionError):
+            raise ScalarError(f"bad {field} scalar: {value!r}") from None
+    raise ScalarError(f"{type(value).__name__} {value!r} is not an exact scalar of {field}")
 
 
 def parse_field(text: str) -> Field:

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
+from operator import mul
 from typing import Sequence
 
 from .algebra import FIElement, basis_element, jordan_product
@@ -56,6 +57,8 @@ class LinearMap:
         self.rows: tuple[tuple[Scalar, ...], ...] = tuple(tuple(r) for r in rows)
         if len(self.rows) != d or any(len(r) != d for r in self.rows):
             raise MismatchError(f"expected a {d}x{d} matrix")
+        for row in self.rows:
+            field.check_scalars(row)
 
     @classmethod
     def from_rows(cls, poset: Poset, field: Field,
@@ -89,18 +92,19 @@ class LinearMap:
         return cls(poset, field, rows)
 
     def apply(self, a: FIElement) -> FIElement:
+        """The image of ``a``, computed on plain values: each output
+        coordinate sums the products of nonzero row entries and nonzero
+        input coordinates, and is reduced once. Entries and coefficients
+        were checked to lie in the field when the map and element were
+        built."""
         if a.poset != self.poset:
             raise MismatchError("map and element live over different posets")
         if a.field != self.field:
             raise FieldMismatchError("map and element live over different fields")
-        zero = self.field.zero
-        out = []
-        for row in self.rows:
-            acc = zero
-            for c, v in zip(row, a.coeffs):
-                if c and v:
-                    acc = acc + c * v
-            out.append(acc)
+        support = [(j, c.value) for j, c in enumerate(a.coeffs) if c.value]
+        reduce = self.field.reduce
+        out = [reduce(sum([c * v for j, v in support if (c := row[j].value)]))
+               for row in self.rows]
         return FIElement(self.poset, self.field, out)
 
     def is_unital(self) -> bool:
@@ -216,11 +220,27 @@ def build_preserver(spec: PreserverSpec) -> LinearMap:
     return LinearMap(poset, field, rows)
 
 
+def _diagonal_block(phi: LinearMap) -> list[list]:
+    """The values of the diagonal-output rows on the diagonal columns.
+
+    The image diagonal of a diagonal element (one that is zero on every
+    radical coordinate) is this block times its diagonal, for any map.
+    """
+    n = phi.poset.n
+    return [[c.value for c in row[:n]] for row in phi.rows[:n]]
+
+
+def _diagonal_element(poset: Poset, field: Field, diagonal) -> FIElement:
+    return FIElement.from_dict(
+        poset, field, {(x, x): v for x, v in zip(poset.elements, diagonal)})
+
+
 def extract_subset_map(phi: LinearMap) -> SubsetMapTable:
     """Extract the subset map A -> {x : phi(e_A)_xx = 1}.
 
     Every diagonal value of phi(e_A) must be 0 or 1; a value outside {0, 1}
-    refutes preserver-ness and is reported with its witness subset.
+    refutes preserver-ness and is reported with its witness subset. The
+    diagonal of phi(e_A) sums the diagonal-block columns of A.
     """
     from .endos import SUBSET_TABLE_CAP
 
@@ -231,23 +251,23 @@ def extract_subset_map(phi: LinearMap) -> SubsetMapTable:
             f"subset-map extraction needs 2^{n} images; cap is |X| <= {SUBSET_TABLE_CAP}",
             size=1 << n)
     elements = poset.elements
-    one = field.one
+    block = _diagonal_block(phi)
+    reduce = field.reduce
     table = []
     for mask in range(1 << n):
-        e_a = FIElement.from_dict(
-            poset, field,
-            {(x, x): 1 for i, x in enumerate(elements) if mask >> i & 1})
-        image = phi.apply(e_a)
+        members = [j for j in range(n) if mask >> j & 1]
         out = 0
-        for i in range(n):
-            c = image.coeffs[i]
-            if c == one:
+        for i, row in enumerate(block):
+            v = sum([row[j] for j in members if row[j]])
+            if v != 0 and v != 1:  # a sum of canonical values that is 0 or 1 is canonical
+                v = reduce(v).value
+            if v == 1:
                 out |= 1 << i
-            elif c:
+            elif v:
                 subset = ", ".join(x for j, x in enumerate(elements) if mask >> j & 1)
                 raise ClassificationError(
                     "from-vf-to-lb",
-                    f"diagonal value {field.format_scalar(c)} outside {{0, 1}} "
+                    f"diagonal value {field.format_scalar(reduce(v))} outside {{0, 1}} "
                     f"at {elements[i]} for the idempotent of {{{subset}}}",
                     witness=f"A = {{{subset}}}")
         table.append(out)
@@ -296,13 +316,12 @@ def find_nonpreserved_unit(phi: LinearMap, gate_override: bool = False) -> FIEle
                 t = -(image_delta.coeffs[i] * c.inverse())
                 x, y = poset.basis_pairs[j]
                 return delta + basis_element(poset, field, x, y).scale(t)
-    _gate((field.p - 1) ** n, "preserves_invertibility", gate_override)
-    nonzero = field.elements()[1:]
-    for diag in product(nonzero, repeat=n):
-        u = FIElement.from_dict(
-            poset, field, {(x, x): v for x, v in zip(poset.elements, diag)})
-        if not phi.apply(u).is_unit():
-            return u
+    p = field.p
+    _gate((p - 1) ** n, "preserves_invertibility", gate_override)
+    block = _diagonal_block(phi)
+    for diag in product(range(1, p), repeat=n):
+        if not all(sum(map(mul, row, diag)) % p for row in block):
+            return _diagonal_element(poset, field, diag)
     return None
 
 
@@ -324,14 +343,14 @@ def find_strongness_counterexample(phi: LinearMap,
         raise ValueError("is_strong requires a unital invertibility preserver")
     poset = phi.poset
     n = poset.n
-    _gate(field.p ** n, "is_strong", gate_override)
-    for diag in product(field.elements(), repeat=n):
+    p = field.p
+    _gate(p ** n, "is_strong", gate_override)
+    block = _diagonal_block(phi)
+    for diag in product(range(p), repeat=n):
         if all(diag):
             continue
-        a = FIElement.from_dict(
-            poset, field, {(x, x): v for x, v in zip(poset.elements, diag)})
-        if phi.apply(a).is_unit():
-            return a
+        if all(sum(map(mul, row, diag)) % p for row in block):
+            return _diagonal_element(poset, field, diag)
     return None
 
 

@@ -51,6 +51,7 @@ from .preservers import (
     preserves_idempotents,
     preserves_inverses,
     preserves_invertibility,
+    _gate,
 )
 
 CENSUS_SPACE_CAP = 10**8  # q^(d^2) matrices
@@ -274,10 +275,15 @@ def _iter_preserver_matrices(poset: Poset, field: PrimeField, start: int,
 def _census_gate(poset: Poset, field: Field, gate_override: bool) -> int:
     if not isinstance(field, PrimeField):
         raise InfiniteFieldError("the census enumerates matrices over a finite field")
-    space = field.p ** (poset.dimension ** 2)
+    q, n = field.p, poset.n
+    space = q ** (poset.dimension ** 2)
     if space > CENSUS_SPACE_CAP and not gate_override:
         raise GateError(
             f"census space {space} exceeds cap {CENSUS_SPACE_CAP}", size=space)
+    # every survivor runs the preserver scan, and the census also the
+    # strongness scan: refuse before the row scan, not at the first survivor
+    _gate((q - 1) ** n, "preserves_invertibility", gate_override)
+    _gate(q ** n, "is_strong", gate_override)
     return space
 
 
@@ -456,6 +462,9 @@ def verify_lemma_suite(poset: Poset, field: PrimeField,
     preserver oracle, and then checks the laws. Element-level laws scan all
     q^d elements when feasible and a seeded sample otherwise.
     """
+    if not isinstance(field, PrimeField):
+        raise InfiniteFieldError("the lemma suite enumerates field elements; "
+                                 "use a prime field")
     elements_sample = _sample_elements(poset, field, seed=seed)
     verdicts = []
     if sample == "exhaustive":

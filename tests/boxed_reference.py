@@ -1,0 +1,122 @@
+"""The boxed-``Scalar`` kernels that the library's value-coded kernels
+replaced, kept as the reference for the differential tests in
+``test_kernel.py``.
+
+Each function is the earlier library code, unchanged except that calls of
+``phi.apply`` go to :func:`boxed_apply` and the preserver check inside the
+strongness scan goes to :func:`boxed_find_nonpreserved_unit`. Every product
+and sum runs through ``Scalar``'s operators, which coerce and check the field
+of each operand, and every pattern of a scan is applied as a whole element.
+"""
+
+from itertools import product
+
+from incalg.algebra import FIElement, basis_element
+from incalg.endos import SUBSET_TABLE_CAP, SubsetMapTable
+from incalg.errors import ClassificationError, FieldMismatchError, GateError, MismatchError
+from incalg.preservers import PRESERVER_CAP_X, _gate, _require_prime
+
+
+def boxed_apply(phi, a):
+    if a.poset != phi.poset:
+        raise MismatchError("map and element live over different posets")
+    if a.field != phi.field:
+        raise FieldMismatchError("map and element live over different fields")
+    zero = phi.field.zero
+    out = []
+    for row in phi.rows:
+        acc = zero
+        for c, v in zip(row, a.coeffs):
+            if c and v:
+                acc = acc + c * v
+        out.append(acc)
+    return FIElement(phi.poset, phi.field, out)
+
+
+def boxed_convolve(x, y):
+    x._check_compat(y)
+    a, b = x.coeffs, y.coeffs
+    zero = x.field.zero
+    out = []
+    for terms in x.poset.convolution_plan:
+        acc = zero
+        for i, j in terms:
+            acc = acc + a[i] * b[j]
+        out.append(acc)
+    return FIElement(x.poset, x.field, out)
+
+
+def boxed_extract_subset_map(phi):
+    poset, field = phi.poset, phi.field
+    n = poset.n
+    if n > SUBSET_TABLE_CAP:
+        raise GateError(
+            f"subset-map extraction needs 2^{n} images; cap is |X| <= {SUBSET_TABLE_CAP}",
+            size=1 << n)
+    elements = poset.elements
+    one = field.one
+    table = []
+    for mask in range(1 << n):
+        e_a = FIElement.from_dict(
+            poset, field,
+            {(x, x): 1 for i, x in enumerate(elements) if mask >> i & 1})
+        image = boxed_apply(phi, e_a)
+        out = 0
+        for i in range(n):
+            c = image.coeffs[i]
+            if c == one:
+                out |= 1 << i
+            elif c:
+                subset = ", ".join(x for j, x in enumerate(elements) if mask >> j & 1)
+                raise ClassificationError(
+                    "from-vf-to-lb",
+                    f"diagonal value {field.format_scalar(c)} outside {{0, 1}} "
+                    f"at {elements[i]} for the idempotent of {{{subset}}}",
+                    witness=f"A = {{{subset}}}")
+        table.append(out)
+    return SubsetMapTable(elements, tuple(table))
+
+
+def boxed_find_nonpreserved_unit(phi, gate_override=False):
+    field = _require_prime(phi, "preserves_invertibility")
+    poset = phi.poset
+    n, d = poset.n, poset.dimension
+    if n > PRESERVER_CAP_X and not gate_override:
+        raise GateError(
+            f"preserves_invertibility capped at |X| <= {PRESERVER_CAP_X}", size=n)
+    delta = FIElement.delta(poset, field)
+    image_delta = boxed_apply(phi, delta)
+    for i in range(n):
+        for j in range(n, d):
+            c = phi.rows[i][j]
+            if c:
+                t = -(image_delta.coeffs[i] * c.inverse())
+                x, y = poset.basis_pairs[j]
+                return delta + basis_element(poset, field, x, y).scale(t)
+    _gate((field.p - 1) ** n, "preserves_invertibility", gate_override)
+    nonzero = field.elements()[1:]
+    for diag in product(nonzero, repeat=n):
+        u = FIElement.from_dict(
+            poset, field, {(x, x): v for x, v in zip(poset.elements, diag)})
+        if not boxed_apply(phi, u).is_unit():
+            return u
+    return None
+
+
+def boxed_find_strongness_counterexample(phi, gate_override=False):
+    field = _require_prime(phi, "is_strong")
+    delta = FIElement.delta(phi.poset, field)
+    if (boxed_apply(phi, delta) != delta
+            or boxed_find_nonpreserved_unit(phi, gate_override) is not None):
+        raise ValueError("is_strong requires a unital invertibility preserver")
+    poset = phi.poset
+    n = poset.n
+    _gate(field.p ** n, "is_strong", gate_override)
+    for diag in product(field.elements(), repeat=n):
+        if all(diag):
+            continue
+        a = FIElement.from_dict(
+            poset, field, {(x, x): v for x, v in zip(poset.elements, diag)})
+        if boxed_apply(phi, a).is_unit():
+            return a
+    return None

@@ -5,9 +5,11 @@ from hypothesis import given, strategies as st
 
 from incalg import (
     FieldMismatchError,
+    IncalgError,
     InfiniteFieldError,
     ParseError,
     PrimeField,
+    ScalarError,
     format_field,
     parse_field,
 )
@@ -133,3 +135,49 @@ def test_inverse_involution_exhaustive():
     for field in PRIME_FIELDS:  # p in {2, 3, 5, 7}
         for a in field.elements()[1:]:
             assert a.inverse().inverse() == a
+
+
+@pytest.mark.parametrize("field", [F3, Q])
+@pytest.mark.parametrize("value", [2.7, 2.0, 0.1, float("nan")])
+def test_scalar_rejects_floats(field, value):
+    with pytest.raises(ScalarError):
+        field.scalar(value)
+
+
+@pytest.mark.parametrize("value", [Fraction(1, 2), "1/2", "2.7"])
+def test_prime_scalar_rejects_non_integral_values(value):
+    with pytest.raises(ScalarError):
+        F5.scalar(value)
+
+
+@pytest.mark.parametrize("field,value", [
+    (F5, None), (F5, "x"), (Q, None), (Q, "x"), (Q, "1/0"), (Q, [1])])
+def test_scalar_rejects_other_inputs(field, value):
+    with pytest.raises(ScalarError):
+        field.scalar(value)
+    assert issubclass(ScalarError, IncalgError)
+
+
+def test_scalar_accepts_exact_inputs():
+    assert F5.scalar(7).value == 2
+    assert F5.scalar(-1).value == 4
+    assert F5.scalar(Fraction(10, 2)).value == 0
+    assert F5.scalar("3").value == 3
+    assert F5.scalar(F5.scalar(3)) == F5.scalar(3)
+    assert F5.scalar(PrimeField(5).scalar(3)) == F5.scalar(3)
+    assert Q.scalar(3).value == Fraction(3)
+    assert Q.scalar(Fraction(1, 3)).value == Fraction(1, 3)
+    assert Q.scalar("-3/2").value == Fraction(-3, 2)
+    assert Q.scalar("0.1").value == Fraction(1, 10)
+    assert Q.scalar(Q.one) == Q.one
+    with pytest.raises(FieldMismatchError):
+        F5.scalar(F3.one)
+    with pytest.raises(FieldMismatchError):
+        Q.scalar(F3.one)
+
+
+def test_reduce_gives_canonical_scalars():
+    assert F5.reduce(12) == F5.scalar(2)
+    assert F5.reduce(-1).value == 4
+    assert Q.reduce(0).value == Fraction(0) and type(Q.reduce(0).value) is Fraction
+    assert Q.reduce(Fraction(2, 4)) == Q.scalar("1/2")

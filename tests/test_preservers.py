@@ -6,6 +6,7 @@ import pytest
 from incalg import (
     ClassificationError,
     FIElement,
+    FieldMismatchError,
     GateError,
     InfiniteFieldError,
     LinearMap,
@@ -13,6 +14,7 @@ from incalg import (
     PartitionEndo,
     PreserverSpec,
     PrimeField,
+    ScalarError,
     XorEndo,
     basis_element,
     build_preserver,
@@ -381,3 +383,44 @@ def test_spec_file_rejects_psi_not_annihilating_delta():
             "lambda: 1->{1} 2->{2}\npsi:\n1 0 0\n")
     with pytest.raises(ParseError, match="annihilate delta"):
         parse_preserver_spec(text)
+
+
+def test_element_construction_checks_coefficients():
+    o, z = F3.one, F3.zero
+    with pytest.raises(ScalarError):
+        FIElement(CHAIN2, F3, [1, 0, 0])
+    with pytest.raises(ScalarError):
+        FIElement(CHAIN2, F3, [o, z, 0.5])
+    with pytest.raises(FieldMismatchError):
+        FIElement(CHAIN2, F3, [o, F5.one, z])
+    with pytest.raises(FieldMismatchError):
+        FIElement(CHAIN2, F3, [o, Q.one, z])
+    # an equal field object is the same field
+    assert FIElement(CHAIN2, PrimeField(3), [o, o, z]) == FIElement.delta(CHAIN2, F3)
+
+
+def test_map_construction_checks_entries():
+    o, z = F3.one, F3.zero
+    with pytest.raises(ScalarError):
+        LinearMap(CHAIN2, F3, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+    with pytest.raises(FieldMismatchError):
+        LinearMap(CHAIN2, F3, [[o, z, z], [z, F5.one, z], [z, z, o]])
+    with pytest.raises(FieldMismatchError):
+        LinearMap(CHAIN2, F3, [[o, z, z], [z, o, z], [z, z, Q.one]])
+    with pytest.raises(FieldMismatchError):
+        LinearMap.from_rows(CHAIN2, F3, [[1, 0, 0], [0, F5.one, 0], [0, 0, 1]])
+
+
+def test_element_of_another_field_refused_by_apply_and_convolution():
+    phi = LinearMap.identity(CHAIN2, F3)
+    a = FIElement.from_vector(CHAIN2, F5, [1, 2, 3])
+    b = FIElement.from_vector(CHAIN2, F3, [1, 2, 0])
+    with pytest.raises(FieldMismatchError):
+        phi.apply(a)
+    with pytest.raises(FieldMismatchError):
+        a * b
+    with pytest.raises(FieldMismatchError):
+        b * a
+    # the same element of the map's field goes through both
+    assert phi.apply(b) == b
+    assert phi.apply(b * b) == b * b

@@ -10,6 +10,7 @@ from incalg import (
     InfiniteFieldError,
     LinearMap,
     PartitionEndo,
+    PrimeField,
     PreserverSpec,
     XorEndo,
     analyze_map,
@@ -136,6 +137,26 @@ def test_census_gate():
         enumerate_preservers(builtin_poset("chain:3"), F3)
     with pytest.raises(InfiniteFieldError):
         enumerate_preservers(CHAIN2, Q)
+
+
+def test_census_gate_bounds_the_per_survivor_scans(monkeypatch):
+    import incalg.verify as verify
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("rows scanned before the gate")
+
+    monkeypatch.setattr(verify, "_iter_preserver_matrices", refuse)
+    chain1, big = builtin_poset("chain:1"), PrimeField(1_000_003)
+    # the census space is 10^6 matrices, within its cap; each survivor's
+    # preserver scan would visit (q - 1)^n = 1000002 diagonal patterns
+    for run in (enumerate_preservers, verify_inverse_preserver_results,
+                verify_lemma_suite):
+        with pytest.raises(GateError) as exc:
+            run(chain1, big)
+        assert exc.value.size == 1_000_002
+        assert "preserves_invertibility" in str(exc.value)
+    with pytest.raises(AssertionError, match="rows scanned"):
+        enumerate_preservers(chain1, big, gate_override=True)
 
 
 def test_census_split_and_merge_matches_full_run():
