@@ -3,11 +3,13 @@
 Elements are dense coefficient vectors over the canonical basis (diagonal
 pairs first, then strict pairs); the product is convolution. Coefficients
 are ``Scalar``s of the element's field, checked at construction, so the
-convolution can run on their plain values: each output coordinate is summed
-as an ``int`` (a ``Fraction`` over Q) and reduced once. Inversion uses
-the nilpotency of the strict-triangular part instead of elimination: with
-``a = d(1 + nu)``, ``d`` the diagonal part and ``nu = d^{-1} a_J``, the
-inverse is ``(sum_{k<c} (-nu)^k) d^{-1}`` where ``c`` bounds chain length.
+convolution and inversion can run on their plain values: each output
+coordinate is summed as an ``int`` (a ``Fraction`` over Q) and reduced once.
+Inversion uses the nilpotency of the strict-triangular part instead of
+elimination: with ``a = d(1 + nu)``, ``d`` the diagonal part and
+``nu = d^{-1} a_J``, the inverse is ``(sum_{k<c} (-nu)^k) d^{-1}`` where
+``c`` bounds chain length; only the n diagonal entries are inverted as
+``Scalar``s.
 """
 
 from __future__ import annotations
@@ -134,22 +136,36 @@ class FIElement:
         return all(self.diagonal())
 
     def inverse(self) -> "FIElement":
+        """The two-sided inverse, by the nilpotent series on plain values.
+
+        With ``d`` the diagonal part and ``nu = d^{-1} a_J``, the inverse is
+        ``(sum_{k<c} (-nu)^k) d^{-1}``, ``c`` the longest chain. Since
+        ``d^{-1}`` is diagonal, ``(d^{-1} a_J)_xy = d^{-1}_x a_xy`` and
+        ``(s d^{-1})_xy = s_xy d^{-1}_y`` are single products; the powers of
+        ``-nu`` are convolved over ``convolution_plan`` and reduced per
+        coordinate, and each output coordinate is reduced once.
+        """
         if not self.is_unit():
             raise NotAUnitError("element has a zero diagonal coefficient")
-        n = self.poset.n
-        diag_inv = FIElement.from_dict(
-            self.poset, self.field,
-            {(x, x): self.coeffs[i].inverse() for i, x in enumerate(self.poset.elements)})
-        _, rad = self.decompose()
-        nilpotent = (diag_inv * rad).__neg__()  # -nu, strictly triangular
-        acc = FIElement.delta(self.poset, self.field)
+        poset = self.poset
+        n = poset.n
+        reduce = self.field.reduce
+        plan = poset.convolution_plan
+        ends = [(poset.index(x), poset.index(y)) for x, y in poset.basis_pairs]
+        d_inv = [c.inverse().value for c in self.coeffs[:n]]
+        a = [c.value for c in self.coeffs]
+        nilpotent = [0 if x == y else -d_inv[x] * v for (x, y), v in zip(ends, a)]
+        acc = [1] * n + [0] * (len(a) - n)
         term = acc
-        for _ in range(self.poset.longest_chain - 1):
-            term = term * nilpotent
-            if term.is_zero():
+        for _ in range(poset.longest_chain - 1):
+            term = [reduce(sum([term[i] * nilpotent[j] for i, j in terms
+                                if term[i] and nilpotent[j]])).value
+                    for terms in plan]
+            if not any(term):
                 break
-            acc = acc + term
-        return acc * diag_inv
+            acc = [s + t for s, t in zip(acc, term)]
+        return FIElement(poset, self.field,
+                         [reduce(s * d_inv[y]) for s, (_, y) in zip(acc, ends)])
 
     def level_set(self, k: Scalar) -> frozenset[str]:
         """The elements x with diagonal coefficient equal to k."""

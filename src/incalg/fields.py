@@ -16,6 +16,7 @@ element or a map is constructed, by ``Field.check_scalars``.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import FieldMismatchError, InfiniteFieldError, ParseError, ScalarError
 
@@ -66,11 +67,11 @@ class Field:
             if v.field is not self and v.field != self:
                 raise FieldMismatchError(f"scalar from {v.field} used in {self}")
 
-    @property
+    @cached_property
     def zero(self) -> "Scalar":
         return self.scalar(0)
 
-    @property
+    @cached_property
     def one(self) -> "Scalar":
         return self.scalar(1)
 

@@ -1,7 +1,8 @@
 """Finite posets: validation, strict pairs, duality, connectivity, chain length.
 
 A poset is built from generating relations; the reflexive-transitive closure
-is computed and antisymmetry checked. The element order fixed at construction
+is computed, and every poset is checked at construction to be reflexive,
+antisymmetric and transitive. The element order fixed at construction
 determines every downstream basis order: first the diagonal pairs ``(x, x)``
 in element order, then the strict pairs ``(x, y)``, ``x < y``, sorted
 lexicographically by element index.
@@ -29,6 +30,29 @@ class Poset:
         self.leq: tuple[tuple[bool, ...], ...] = tuple(tuple(map(bool, row)) for row in leq)
         self.name = name
         self._index = {x: i for i, x in enumerate(self.elements)}
+        self._check_partial_order()
+
+    def _check_partial_order(self):
+        """Raise :class:`PosetError` unless ``leq`` is an n x n reflexive,
+        antisymmetric and transitive relation."""
+        n, leq, elements = self.n, self.leq, self.elements
+        if len(leq) != n or any(len(row) != n for row in leq):
+            raise PosetError(f"order relation must be a {n}x{n} matrix")
+        for i in range(n):
+            if not leq[i][i]:
+                raise PosetError(f"not reflexive: {elements[i]} <= {elements[i]} fails")
+            for j in range(i + 1, n):
+                if leq[i][j] and leq[j][i]:
+                    raise PosetError(
+                        f"cycle: {elements[i]} and {elements[j]} are mutually comparable")
+        for i in range(n):
+            for k in range(n):
+                if leq[i][k]:
+                    for j in range(n):
+                        if leq[k][j] and not leq[i][j]:
+                            raise PosetError(
+                                f"not transitive: {elements[i]} <= {elements[k]} <= "
+                                f"{elements[j]} but not {elements[i]} <= {elements[j]}")
 
     @classmethod
     def from_relations(cls, elements: Sequence[str],
@@ -64,11 +88,6 @@ class Poset:
                     for j in range(n):
                         if row_k[j]:
                             row_i[j] = True
-        for i in range(n):
-            for j in range(i + 1, n):
-                if leq[i][j] and leq[j][i]:
-                    raise PosetError(
-                        f"cycle: {elements[i]} and {elements[j]} are mutually comparable")
         return cls(elements, leq, name=name)
 
     @property
@@ -182,7 +201,7 @@ class Poset:
         return self.name or f"poset[{' '.join(self.elements)}]"
 
     def __eq__(self, other) -> bool:
-        return (
+        return other is self or (
             isinstance(other, Poset)
             and other.elements == self.elements
             and other.leq == self.leq

@@ -3,18 +3,26 @@ replaced, kept as the reference for the differential tests in
 ``test_kernel.py``.
 
 Each function is the earlier library code, unchanged except that calls of
-``phi.apply`` go to :func:`boxed_apply` and the preserver check inside the
-strongness scan goes to :func:`boxed_find_nonpreserved_unit`. Every product
-and sum runs through ``Scalar``'s operators, which coerce and check the field
-of each operand, and every pattern of a scan is applied as a whole element.
+``phi.apply`` go to :func:`boxed_apply`, products in :func:`boxed_inverse` go
+to :func:`boxed_convolve`, and the preserver check inside the strongness scan
+goes to :func:`boxed_find_nonpreserved_unit`. Every product and sum runs
+through ``Scalar``'s operators, which coerce and check the field of each
+operand, and every pattern of a scan is applied as a whole element.
 """
 
 from itertools import product
 
-from incalg.algebra import FIElement, basis_element
-from incalg.endos import SUBSET_TABLE_CAP, SubsetMapTable
-from incalg.errors import ClassificationError, FieldMismatchError, GateError, MismatchError
+from incalg.algebra import FIElement, basis_element, format_element, indicator
+from incalg.endos import SUBSET_TABLE_CAP, SubsetMapTable, labels_of
+from incalg.errors import (
+    ClassificationError,
+    FieldMismatchError,
+    GateError,
+    MismatchError,
+    NotAUnitError,
+)
 from incalg.preservers import PRESERVER_CAP_X, _gate, _require_prime
+from incalg.verify import _lemma_checks
 
 
 def boxed_apply(phi, a):
@@ -120,3 +128,57 @@ def boxed_find_strongness_counterexample(phi, gate_override=False):
         if boxed_apply(phi, a).is_unit():
             return a
     return None
+
+
+def boxed_inverse(a):
+    if not a.is_unit():
+        raise NotAUnitError("element has a zero diagonal coefficient")
+    diag_inv = FIElement.from_dict(
+        a.poset, a.field,
+        {(x, x): a.coeffs[i].inverse() for i, x in enumerate(a.poset.elements)})
+    _, rad = a.decompose()
+    nilpotent = boxed_convolve(diag_inv, rad).__neg__()  # -nu, strictly triangular
+    acc = FIElement.delta(a.poset, a.field)
+    term = acc
+    for _ in range(a.poset.longest_chain - 1):
+        term = boxed_convolve(term, nilpotent)
+        if term.is_zero():
+            break
+        acc = acc + term
+    return boxed_convolve(acc, diag_inv)
+
+
+def boxed_lemma_checks(phi, table, sample):
+    """``_lemma_checks`` with its two element-level laws computed by the
+    earlier loops; the other laws are the library's, in the library's order."""
+    poset, field = phi.poset, phi.field
+    n = poset.n
+    out = _lemma_checks(phi, table, sample)
+
+    # the image diagonal only depends on the input diagonal
+    witness = None
+    for a in sample:
+        diag_part, _ = a.decompose()
+        if boxed_apply(phi, a).diagonal() != boxed_apply(phi, diag_part).diagonal():
+            witness = f"alpha = {format_element(a)}"
+            break
+    out["vf(f)_D-is-vf(f_D)_D"] = witness
+
+    if field.cardinality != 2:
+        # the image diagonal is the level-set decomposition pushed through
+        witness = None
+        for a in sample:
+            expected = FIElement.zero(poset, field)
+            for k in field.elements():
+                level_mask = 0
+                for i in range(n):
+                    if a.coeffs[i] == k:
+                        level_mask |= 1 << i
+                image_mask = table.table[level_mask]
+                expected = expected + indicator(
+                    poset, field, labels_of(poset.elements, image_mask)).scale(k)
+            if boxed_apply(phi, a).diagonal() != expected.diagonal():
+                witness = f"alpha = {format_element(a)}"
+                break
+        out["vf(f)_D=sum-k-e_lb(L_k)"] = witness
+    return out

@@ -31,6 +31,14 @@ def test_additive_identity():
         assert a + field.zero == a
 
 
+def test_zero_and_one_are_built_once_per_field():
+    for field, zero, one in ((F2, 0, 1), (F5, 0, 1), (Q, Fraction(0), Fraction(1))):
+        assert field.zero is field.zero and field.one is field.one
+        assert field.zero == field.scalar(0) and field.one == field.scalar(1)
+        assert (field.zero.value, field.one.value) == (zero, one)
+        assert type(field.zero.value) is type(zero)
+
+
 def test_modular_multiplication():
     assert F5.scalar(3) * F5.scalar(4) == F5.scalar(2)
 

@@ -1,22 +1,26 @@
 """Differential tests of the value-coded kernels (``LinearMap.apply``,
-convolution, ``extract_subset_map`` and the two diagonal-pattern scans)
-against the boxed-``Scalar`` reference in ``boxed_reference.py``."""
+convolution, ``FIElement.inverse``, ``extract_subset_map``, the two
+diagonal-pattern scans and the element-level lemma laws) against the
+boxed-``Scalar`` reference in ``boxed_reference.py``."""
 
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, strategies as st
 
 from incalg import (
     ClassificationError,
     FIElement,
     LinearMap,
+    NotAUnitError,
     PrimeField,
     build_preserver,
     extract_subset_map,
     random_preserver_spec,
 )
 from incalg.preservers import find_nonpreserved_unit, find_strongness_counterexample
+from incalg.verify import _lemma_checks, _sample_elements
 
 from boxed_reference import (
     boxed_apply,
@@ -24,8 +28,10 @@ from boxed_reference import (
     boxed_extract_subset_map,
     boxed_find_nonpreserved_unit,
     boxed_find_strongness_counterexample,
+    boxed_inverse,
+    boxed_lemma_checks,
 )
-from conftest import POSET_POOL, PRIME_FIELDS, RING_FIELDS
+from conftest import F2, F3, F5, POSET_POOL, PRIME_FIELDS, RING_FIELDS
 
 MAP_KINDS = ["sparse", "unital", "stage-ii", "preserver", "perturbed"]
 SCAN_CAP = 700  # p^n bound for the exhaustive scans, to keep the boxed side fast
@@ -68,6 +74,42 @@ def random_element(poset, field, rng: random.Random) -> FIElement:
     zero_share = rng.choice([0.0, 0.5, 0.9, 1.0])
     return FIElement.from_vector(
         poset, field, [_value(field, rng, zero_share) for _ in range(poset.dimension)])
+
+
+def random_unit(poset, field, rng: random.Random) -> FIElement:
+    diagonal = [field.scalar(_value(field, rng, zero_share=0) or 1) for _ in range(poset.n)]
+    radical = random_element(poset, field, rng).coeffs[poset.n:]
+    return FIElement(poset, field, diagonal + list(radical))
+
+
+def perturbed_maps(phi: LinearMap, rng: random.Random) -> list[LinearMap]:
+    """phi and three copies with one diagonal-output row changed: inside the
+    diagonal block with the row sum kept, at a radical column (any column
+    on an antichain), and at any column."""
+    poset, field = phi.poset, phi.field
+    n, d = poset.n, poset.dimension
+    maps = [phi]
+    for kind in ("block", "radical", "any"):
+        rows = [list(r) for r in phi.rows]
+        y = rng.randrange(n)
+        c = field.scalar(_value(field, rng, zero_share=0) or 1)
+        if kind == "block":
+            x = rng.randrange(n)
+            rows[y][x] = rows[y][x] + c
+            rows[y][(x + 1) % n] = rows[y][(x + 1) % n] - c
+        else:
+            j = rng.randrange(n, d) if kind == "radical" and d > n else rng.randrange(d)
+            rows[y][j] = rows[y][j] + c
+        maps.append(LinearMap(poset, field, rows))
+    return maps
+
+
+def lemma_instance(poset, field, rng: random.Random):
+    """A random preserver's subset table, a small seeded element sample, and
+    the preserver with its perturbed copies."""
+    phi = build_preserver(random_preserver_spec(poset, field, rng))
+    sample = _sample_elements(poset, field, cap=256, trials=40, seed=rng.randrange(1000))
+    return extract_subset_map(phi), sample, perturbed_maps(phi, rng)
 
 
 @st.composite
@@ -150,3 +192,44 @@ def test_map_kinds_reach_every_branch():
                         seen.add("stage (ii)")
                     seen.add(outcome(extract_subset_map, phi)[0])
     assert seen == {"preserver", "stage (i)", "stage (ii)", "result", "refuted"}
+
+
+@given(instances(RING_FIELDS))
+def test_inverse_matches_boxed_reference(instance):
+    poset, field, _, rng = instance
+    delta = FIElement.delta(poset, field)
+    for _ in range(3):
+        a = random_unit(poset, field, rng)
+        inv = a.inverse()
+        assert inv == boxed_inverse(a)
+        assert a * inv == inv * a == delta
+        coeffs = list(a.coeffs)
+        coeffs[rng.randrange(poset.n)] = field.zero
+        singular = FIElement(poset, field, coeffs)
+        with pytest.raises(NotAUnitError):
+            singular.inverse()
+        with pytest.raises(NotAUnitError):
+            boxed_inverse(singular)
+
+
+@given(instances([F2, F3, F5]))
+def test_lemma_checks_match_boxed_reference(instance):
+    poset, field, _, rng = instance
+    table, sample, maps = lemma_instance(poset, field, rng)
+    for phi in maps:
+        assert (list(_lemma_checks(phi, table, sample).items())
+                == list(boxed_lemma_checks(phi, table, sample).items()))
+
+
+def test_lemma_instances_fail_both_element_laws():
+    """The perturbed maps reach a failing witness of each element law."""
+    rng = random.Random(0)
+    failed = set()
+    for field in (F3, F5):
+        for poset in POSET_POOL[:5]:
+            table, sample, maps = lemma_instance(poset, field, rng)
+            for phi in maps:
+                out = _lemma_checks(phi, table, sample)
+                failed.update(law for law in ("vf(f)_D-is-vf(f_D)_D", "vf(f)_D=sum-k-e_lb(L_k)")
+                              if out[law] is not None)
+    assert failed == {"vf(f)_D-is-vf(f_D)_D", "vf(f)_D=sum-k-e_lb(L_k)"}

@@ -30,6 +30,28 @@ def test_cycle_rejected():
         Poset.from_relations(["a", "b"], [("a", "b"), ("b", "a")])
 
 
+def test_non_square_order_matrix_rejected():
+    with pytest.raises(PosetError, match="3x3 matrix"):
+        Poset(["a", "b", "c"], [[1, 1, 0], [0, 1, 1]])
+    with pytest.raises(PosetError, match="3x3 matrix"):
+        Poset(["a", "b", "c"], [[1, 1], [0, 1], [0, 0]])
+
+
+def test_non_reflexive_order_rejected():
+    with pytest.raises(PosetError, match="not reflexive: b <= b"):
+        Poset(["a", "b"], [[1, 1], [0, 0]])
+
+
+def test_non_antisymmetric_order_rejected():
+    with pytest.raises(PosetError, match="cycle: a and b"):
+        Poset(["a", "b"], [[1, 1], [1, 1]])
+
+
+def test_non_transitive_order_rejected():
+    with pytest.raises(PosetError, match="not transitive: a <= b <= c"):
+        Poset(["a", "b", "c"], [[1, 1, 0], [0, 1, 1], [0, 0, 1]])
+
+
 def test_duplicate_labels_rejected():
     with pytest.raises(PosetError, match="duplicate"):
         Poset.from_relations(["a", "a"], [])

@@ -331,6 +331,32 @@ def test_analyze_map_over_rationals():
     assert bad["verdicts"]["preserver"] is False
 
 
+def test_analyze_map_over_rationals_scans_jordan_once(monkeypatch):
+    from incalg import preservers, verify
+
+    calls = []
+
+    def counting(phi):
+        calls.append(phi)
+        return scan(phi)
+
+    scan = preservers.find_jordan_counterexample
+    monkeypatch.setattr(preservers, "find_jordan_counterexample", counting)
+    monkeypatch.setattr(verify, "find_jordan_counterexample", counting)
+    rng = random.Random(3)
+    maps = [LinearMap.identity(CHAIN2, Q)] + [
+        build_preserver(random_preserver_spec(CHAIN2, Q, rng)) for _ in range(4)]
+    jordan = set()
+    for phi in maps:
+        calls.clear()
+        verdicts = analyze_map(phi)["verdicts"]
+        assert len(calls) == 1
+        assert list(verdicts) == ["unital", "preserver", "strong", "inverse_preserving", "jordan"]
+        assert verdicts["inverse_preserving"] is verdicts["jordan"]
+        jordan.add(verdicts["jordan"])
+    assert jordan == {True, False}
+
+
 def test_analyze_map_non_unital_inverse_preserver():
     # the signed identity preserves inverses without being unital or Jordan
     phi = LinearMap.identity(CHAIN2, F3).scale(F3.scalar(2))
