@@ -28,6 +28,7 @@ from .preservers import (
     linear_map_to_json,
     parse_linear_map,
     parse_preserver_spec,
+    psi_to_json,
 )
 from .verify import (
     EXAMPLE_IDS,
@@ -126,7 +127,7 @@ def cmd_classify(args) -> int:
             "poset": phi.poset.display_name,
             "field": repr(phi.field),
             "lambda": endo_to_json(spec.endo),
-            "psi": linear_map_to_json(spec.radical_map)[phi.poset.n:],
+            "psi": psi_to_json(spec),
         })
     else:
         _emit(args, "unital invertibility preserver\n" + format_preserver_spec(spec))

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
+from operator import or_, xor
 from typing import Iterable, Iterator, Union
 
 from .errors import ClassificationError, GateError, MismatchError, ParseError
@@ -84,10 +85,7 @@ class PartitionEndo:
         return tuple(owner)
 
     def table(self) -> "SubsetMapTable":
-        return SubsetMapTable(
-            self.elements,
-            tuple(self.apply_mask(m) for m in range(1 << self.n)),
-        )
+        return SubsetMapTable(self.elements, _span_table(self.blocks, or_))
 
     def is_injective(self) -> bool:
         """Injective on P(X) iff no block is empty."""
@@ -141,10 +139,7 @@ class XorEndo:
         return labels_of(self.elements, self.apply_mask(mask_of(self.elements, labels)))
 
     def table(self) -> "SubsetMapTable":
-        return SubsetMapTable(
-            self.elements,
-            tuple(self.apply_mask(m) for m in range(1 << self.n)),
-        )
+        return SubsetMapTable(self.elements, _span_table(self.columns, xor))
 
     def is_injective(self) -> bool:
         return _gf2_rank(self.columns) == self.n
@@ -188,6 +183,16 @@ class SubsetMapTable:
 
 
 AnyEndo = Union[PartitionEndo, XorEndo, SubsetMapTable]
+
+
+def _span_table(images: tuple[int, ...], combine) -> tuple[int, ...]:
+    """The image of every mask of a map that ``combine``s (OR or XOR) the
+    images of the singletons, by the lowest-bit recurrence
+    ``t[m] = combine(t[m & (m - 1)], images[lowbit(m)])``."""
+    t = [0] * (1 << len(images))
+    for m in range(1, len(t)):
+        t[m] = combine(t[m & (m - 1)], images[(m & -m).bit_length() - 1])
+    return tuple(t)
 
 
 # GF(2) linear algebra on bitmask rows ------------------------------------
@@ -301,12 +306,13 @@ def to_xor_endo(table: SubsetMapTable) -> XorEndo:
             "lb-prese-symm-diff",
             "table does not fix X, or its singleton images do not combine to X")
     endo = XorEndo(table.elements, columns)
-    for m in range(full + 1):
-        if endo.apply_mask(m) != table.table[m]:
-            raise ClassificationError(
-                "lb-prese-symm-diff",
-                "table is not additive over symmetric difference",
-                witness=f"A = {{{', '.join(sorted(labels_of(table.elements, m)))}}}")
+    additive = endo.table().table
+    if additive != table.table:
+        m = next(m for m, (a, b) in enumerate(zip(additive, table.table)) if a != b)
+        raise ClassificationError(
+            "lb-prese-symm-diff",
+            "table is not additive over symmetric difference",
+            witness=f"A = {{{', '.join(sorted(labels_of(table.elements, m)))}}}")
     return endo
 
 

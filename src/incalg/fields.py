@@ -5,10 +5,11 @@ fields, a reduced ``Fraction`` for the rationals) tagged with their field.
 No floating point is used anywhere: ``Field.scalar`` refuses floats.
 
 ``Scalar`` is the type at every API boundary, and its operators serve the
-code that is not hot. The hot kernels (``LinearMap.apply``, convolution
-and the diagonal-pattern scans) compute on the plain ``.value``s instead:
-they accumulate a plain ``int`` (or a ``Fraction`` over Q) and hand it to
-``Field.reduce``, which reduces once and wraps once. Those kernels do not
+code that is not hot. The hot kernels (``LinearMap.apply``, convolution,
+``FIElement.inverse``, ``matrix_rank``, the subset table of
+``extract_subset_map`` and the diagonal-pattern scans) compute on the plain
+``.value``s instead: they accumulate a plain ``int`` (or a ``Fraction``
+over Q) and hand it to ``Field.reduce``, which reduces once and wraps once. Those kernels do not
 check operands per operation, so field membership is checked when an
 element or a map is constructed, by ``Field.check_scalars``.
 """
@@ -83,6 +84,10 @@ class Field:
         raise NotImplementedError
 
     def format_scalar(self, s: "Scalar") -> str:
+        return self.format_value(s.value)
+
+    def format_value(self, value) -> str:
+        """The text of a canonical value of this field."""
         raise NotImplementedError
 
 
@@ -130,8 +135,8 @@ class PrimeField(Field):
         except ValueError:
             raise ParseError(f"bad {self} scalar literal: {text!r}") from None
 
-    def format_scalar(self, s: "Scalar") -> str:
-        return str(s.value)
+    def format_value(self, value: int) -> str:
+        return str(value)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, PrimeField) and other.p == self.p
@@ -171,9 +176,8 @@ class Rationals(Field):
         except (ValueError, ZeroDivisionError):
             raise ParseError(f"bad rational scalar literal: {text!r}") from None
 
-    def format_scalar(self, s: "Scalar") -> str:
-        v: Fraction = s.value
-        return f"{v.numerator}/{v.denominator}"
+    def format_value(self, value: Fraction) -> str:
+        return f"{value.numerator}/{value.denominator}"
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Rationals)

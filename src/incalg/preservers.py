@@ -142,26 +142,33 @@ class LinearMap:
 
 
 def matrix_rank(rows: Sequence[Sequence[Scalar]]) -> int:
-    """Exact rank of a matrix of scalars by Gaussian elimination."""
-    rows = [list(r) for r in rows]
-    height = len(rows)
-    width = len(rows[0]) if rows else 0
+    """Exact rank of a matrix of scalars, by forward elimination on plain
+    values: only the pivots are inverted, as ``Scalar``s, and each updated
+    entry is reduced once through ``Field.reduce``. Zero rows are dropped
+    first, as they add nothing to the rank."""
+    kept = [row for row in rows if any(row)]
+    if not kept:
+        return 0
+    field = kept[0][0].field
+    reduce = field.reduce
+    work = [[c.value for c in row] for row in kept]
+    height = len(work)
     rank = 0
-    col = 0
-    while rank < height and col < width:
-        pivot = next((r for r in range(rank, height) if rows[r][col]), None)
+    for col in range(len(work[0])):
+        pivot = next((r for r in range(rank, height) if work[r][col]), None)
         if pivot is None:
-            col += 1
             continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = rows[rank][col].inverse()
-        rows[rank] = [inv * v for v in rows[rank]]
-        for r in range(height):
-            if r != rank and rows[r][col]:
-                f = rows[r][col]
-                rows[r] = [v - f * w for v, w in zip(rows[r], rows[rank])]
+        work[rank], work[pivot] = work[pivot], work[rank]
+        top = work[rank]
+        inv = Scalar(field, top[col]).inverse().value
+        for r in range(rank + 1, height):
+            row = work[r]
+            if row[col]:
+                f = reduce(row[col] * inv).value
+                work[r] = [reduce(v - f * w).value if w else v for v, w in zip(row, top)]
         rank += 1
-        col += 1
+        if rank == height:
+            break
     return rank
 
 
@@ -239,8 +246,12 @@ def extract_subset_map(phi: LinearMap) -> SubsetMapTable:
     """Extract the subset map A -> {x : phi(e_A)_xx = 1}.
 
     Every diagonal value of phi(e_A) must be 0 or 1; a value outside {0, 1}
-    refutes preserver-ness and is reported with its witness subset. The
-    diagonal of phi(e_A) sums the diagonal-block columns of A.
+    refutes preserver-ness and is reported with its witness subset, the
+    first in mask order. The diagonal of phi(e_A) sums the diagonal-block
+    columns of A, so the sums are built by doubling: the sums for the
+    subsets of columns 0..k+1 are those for columns 0..k, then the same
+    sums plus column k+1. Each doubling adds the next masks in ascending
+    order, and they are checked as they are added.
     """
     from .endos import SUBSET_TABLE_CAP
 
@@ -251,26 +262,28 @@ def extract_subset_map(phi: LinearMap) -> SubsetMapTable:
             f"subset-map extraction needs 2^{n} images; cap is |X| <= {SUBSET_TABLE_CAP}",
             size=1 << n)
     elements = poset.elements
-    block = _diagonal_block(phi)
     reduce = field.reduce
-    table = []
-    for mask in range(1 << n):
-        members = [j for j in range(n) if mask >> j & 1]
-        out = 0
-        for i, row in enumerate(block):
-            v = sum([row[j] for j in members if row[j]])
-            if v != 0 and v != 1:  # a sum of canonical values that is 0 or 1 is canonical
-                v = reduce(v).value
-            if v == 1:
-                out |= 1 << i
-            elif v:
-                subset = ", ".join(x for j, x in enumerate(elements) if mask >> j & 1)
-                raise ClassificationError(
-                    "from-vf-to-lb",
-                    f"diagonal value {field.format_scalar(reduce(v))} outside {{0, 1}} "
-                    f"at {elements[i]} for the idempotent of {{{subset}}}",
-                    witness=f"A = {{{subset}}}")
-        table.append(out)
+    sums = [[0] * n]
+    table = [0]
+    for column in zip(*_diagonal_block(phi)):
+        added = [[s + c if c else s for s, c in zip(prev, column)] for prev in sums]
+        for diagonal in added:
+            out = 0
+            for i, v in enumerate(diagonal):
+                if v != 0 and v != 1:  # a sum of canonical values that is 0 or 1 is canonical
+                    v = reduce(v).value
+                if v == 1:
+                    out |= 1 << i
+                elif v:
+                    mask = len(table)
+                    subset = ", ".join(x for j, x in enumerate(elements) if mask >> j & 1)
+                    raise ClassificationError(
+                        "from-vf-to-lb",
+                        f"diagonal value {field.format_scalar(reduce(v))} outside {{0, 1}} "
+                        f"at {elements[i]} for the idempotent of {{{subset}}}",
+                        witness=f"A = {{{subset}}}")
+            table.append(out)
+        sums += added
     return SubsetMapTable(elements, tuple(table))
 
 
@@ -579,3 +592,10 @@ def format_preserver_spec(spec: PreserverSpec) -> str:
 
 def linear_map_to_json(phi: LinearMap) -> list[list[str]]:
     return [[phi.field.format_scalar(c) for c in row] for row in phi.rows]
+
+
+def psi_to_json(spec: PreserverSpec) -> list[list[str]]:
+    """The radical-output rows of a normal form's radical map, formatted;
+    its n diagonal-output rows are zero by construction and left out."""
+    fmt = spec.field.format_scalar
+    return [[fmt(c) for c in row] for row in spec.radical_map.rows[spec.poset.n:]]

@@ -46,11 +46,11 @@ from .preservers import (
     is_jordan_endo,
     is_strong,
     iter_idempotents,
-    linear_map_to_json,
     matrix_rank,
     preserves_idempotents,
     preserves_inverses,
     preserves_invertibility,
+    psi_to_json,
     _gate,
 )
 
@@ -82,13 +82,11 @@ class MapRecord:
     bijective: bool
 
     def to_json(self, field: Field) -> dict:
-        n = self.spec.poset.n
         return {
             "index": self.index,
-            "matrix": [[field.format_scalar(field.scalar(v)) for v in row]
-                       for row in self.matrix],
+            "matrix": [[field.format_value(v) for v in row] for row in self.matrix],
             "lambda": endo_to_json(self.spec.endo),
-            "psi": linear_map_to_json(self.spec.radical_map)[n:],
+            "psi": psi_to_json(self.spec),
             "strong": self.strong,
             "bijective": self.bijective,
         }
@@ -304,8 +302,9 @@ def enumerate_preservers(poset: Poset, field: PrimeField, start: int = 0,
     if not 0 <= start <= stop <= space:
         raise IncalgError(f"bad census range [{start}, {stop}) for space {space}")
     records = []
+    reduce = field.reduce
     for index, rows in _iter_preserver_matrices(poset, field, start, stop):
-        phi = LinearMap.from_rows(poset, field, rows)
+        phi = LinearMap(poset, field, [[reduce(v) for v in row] for row in rows])
         spec = classify(phi, gate_override=gate_override, assume_preserver=True)
         records.append(MapRecord(
             index=index,
@@ -853,5 +852,5 @@ def analyze_map(phi: LinearMap, gate_override: bool = False) -> dict:
 
     if spec is not None:
         report["lambda"] = endo_to_json(spec.endo)
-        report["psi"] = linear_map_to_json(spec.radical_map)[phi.poset.n:]
+        report["psi"] = psi_to_json(spec)
     return report

@@ -8,12 +8,14 @@ to :func:`boxed_convolve`, and the preserver check inside the strongness scan
 goes to :func:`boxed_find_nonpreserved_unit`. Every product and sum runs
 through ``Scalar``'s operators, which coerce and check the field of each
 operand, and every pattern of a scan is applied as a whole element.
+:func:`boxed_to_xor_endo` checks additivity mask by mask with
+``XorEndo.apply_mask``.
 """
 
 from itertools import product
 
 from incalg.algebra import FIElement, basis_element, format_element, indicator
-from incalg.endos import SUBSET_TABLE_CAP, SubsetMapTable, labels_of
+from incalg.endos import SUBSET_TABLE_CAP, SubsetMapTable, XorEndo, labels_of
 from incalg.errors import (
     ClassificationError,
     FieldMismatchError,
@@ -182,3 +184,47 @@ def boxed_lemma_checks(phi, table, sample):
                 break
         out["vf(f)_D=sum-k-e_lb(L_k)"] = witness
     return out
+
+
+def boxed_matrix_rank(rows):
+    rows = [list(r) for r in rows]
+    height = len(rows)
+    width = len(rows[0]) if rows else 0
+    rank = 0
+    col = 0
+    while rank < height and col < width:
+        pivot = next((r for r in range(rank, height) if rows[r][col]), None)
+        if pivot is None:
+            col += 1
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        inv = rows[rank][col].inverse()
+        rows[rank] = [inv * v for v in rows[rank]]
+        for r in range(height):
+            if r != rank and rows[r][col]:
+                f = rows[r][col]
+                rows[r] = [v - f * w for v, w in zip(rows[r], rows[rank])]
+        rank += 1
+        col += 1
+    return rank
+
+
+def boxed_to_xor_endo(table):
+    n = table.n
+    full = (1 << n) - 1
+    columns = tuple(table.table[1 << i] for i in range(n))
+    acc = 0
+    for c in columns:
+        acc ^= c
+    if table.table[full] != full or acc != full:
+        raise ClassificationError(
+            "lb-prese-symm-diff",
+            "table does not fix X, or its singleton images do not combine to X")
+    endo = XorEndo(table.elements, columns)
+    for m in range(full + 1):
+        if endo.apply_mask(m) != table.table[m]:
+            raise ClassificationError(
+                "lb-prese-symm-diff",
+                "table is not additive over symmetric difference",
+                witness=f"A = {{{', '.join(sorted(labels_of(table.elements, m)))}}}")
+    return endo

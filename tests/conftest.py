@@ -2,11 +2,20 @@
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
 from hypothesis import HealthCheck, settings, strategies as st
 
-from incalg import FIElement, Poset, PrimeField, Rationals, builtin_poset
+from incalg import (
+    FIElement,
+    PartitionEndo,
+    Poset,
+    PrimeField,
+    Rationals,
+    XorEndo,
+    builtin_poset,
+)
 
 settings.register_profile(
     "ci",
@@ -67,3 +76,22 @@ def poset_field_elements(draw, count: int = 3, fields=None):
     field = draw(st.sampled_from(fields or RING_FIELDS))
     items = [draw(elements_of(poset, field)) for _ in range(count)]
     return poset, field, items
+
+
+def random_partition_endo(elements, rng: random.Random) -> PartitionEndo:
+    n = len(elements)
+    blocks = [0] * n
+    for y in range(n):
+        blocks[rng.randrange(n)] |= 1 << y
+    return PartitionEndo(elements, tuple(blocks))
+
+
+def random_xor_endo(elements, rng: random.Random) -> XorEndo:
+    """A GF(2) matrix fixing X: random columns, the last one completing the
+    XOR to the full set."""
+    n = len(elements)
+    columns = [rng.randrange(1 << n) for _ in range(n - 1)]
+    last = (1 << n) - 1
+    for c in columns:
+        last ^= c
+    return XorEndo(elements, tuple(columns) + (last,))

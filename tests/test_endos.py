@@ -2,6 +2,7 @@ import random
 from itertools import product
 
 import pytest
+from hypothesis import given, strategies as st
 
 from incalg import (
     ClassificationError,
@@ -18,6 +19,8 @@ from incalg import (
     to_partition,
     to_xor_endo,
 )
+
+from conftest import random_partition_endo, random_xor_endo
 
 XY = ("1", "2")
 XYZ = ("x", "y", "z")
@@ -99,6 +102,14 @@ def test_to_partition_block_readoff():
 def test_to_partition_rejects_non_endomorphism():
     with pytest.raises(ClassificationError, match="lb-preserves-diff-and-cap"):
         to_partition(NONSEP_XOR.table())
+
+
+@given(st.integers(1, 6), st.integers(0, 2**32 - 1))
+def test_tables_match_apply_mask(n, seed):
+    rng = random.Random(seed)
+    elements = tuple(f"x{i}" for i in range(n))
+    for endo in (random_partition_endo(elements, rng), random_xor_endo(elements, rng)):
+        assert endo.table().table == tuple(endo.apply_mask(m) for m in masks(n))
 
 
 def test_to_xor_endo_round_trip():

@@ -1,7 +1,7 @@
 """Differential tests of the value-coded kernels (``LinearMap.apply``,
-convolution, ``FIElement.inverse``, ``extract_subset_map``, the two
-diagonal-pattern scans and the element-level lemma laws) against the
-boxed-``Scalar`` reference in ``boxed_reference.py``."""
+convolution, ``FIElement.inverse``, ``matrix_rank``, ``extract_subset_map``,
+``to_xor_endo``, the two diagonal-pattern scans and the element-level lemma
+laws) against the boxed-``Scalar`` reference in ``boxed_reference.py``."""
 
 import random
 from fractions import Fraction
@@ -15,12 +15,19 @@ from incalg import (
     LinearMap,
     NotAUnitError,
     PrimeField,
+    SubsetMapTable,
     build_preserver,
+    builtin_poset,
     extract_subset_map,
     random_preserver_spec,
+    to_xor_endo,
 )
-from incalg.preservers import find_nonpreserved_unit, find_strongness_counterexample
-from incalg.verify import _lemma_checks, _sample_elements
+from incalg.preservers import (
+    find_nonpreserved_unit,
+    find_strongness_counterexample,
+    matrix_rank,
+)
+from incalg.verify import _lemma_checks, _psi_radical_block_invertible, _sample_elements
 
 from boxed_reference import (
     boxed_apply,
@@ -30,8 +37,10 @@ from boxed_reference import (
     boxed_find_strongness_counterexample,
     boxed_inverse,
     boxed_lemma_checks,
+    boxed_matrix_rank,
+    boxed_to_xor_endo,
 )
-from conftest import F2, F3, F5, POSET_POOL, PRIME_FIELDS, RING_FIELDS
+from conftest import F2, F3, F5, POSET_POOL, PRIME_FIELDS, Q, RING_FIELDS, random_xor_endo
 
 MAP_KINDS = ["sparse", "unital", "stage-ii", "preserver", "perturbed"]
 SCAN_CAP = 700  # p^n bound for the exhaustive scans, to keep the boxed side fast
@@ -233,3 +242,57 @@ def test_lemma_instances_fail_both_element_laws():
                 failed.update(law for law in ("vf(f)_D-is-vf(f_D)_D", "vf(f)_D=sum-k-e_lb(L_k)")
                               if out[law] is not None)
     assert failed == {"vf(f)_D-is-vf(f_D)_D", "vf(f)_D=sum-k-e_lb(L_k)"}
+
+
+@given(st.sampled_from(RING_FIELDS), st.integers(0, 6), st.integers(0, 6),
+       st.sampled_from(["random", "low-rank", "repeated", "zero"]),
+       st.integers(0, 2**32 - 1))
+def test_matrix_rank_matches_boxed_reference(field, height, width, shape, seed):
+    """Square and non-square matrices, dense and sparse. The rank falls
+    short when every row is a combination of fewer rows (``low-rank``), or
+    when a multiple of a row (``repeated``) or a zero row is added."""
+    rng = random.Random(seed)
+    zero_share = rng.choice([0.0, 0.5, 0.9])
+    rows = [[field.scalar(_value(field, rng, zero_share)) for _ in range(width)]
+            for _ in range(height)]
+    if shape == "low-rank":
+        basis = rows[:rng.randrange(min(height, width))] if min(height, width) else []
+        rows = []
+        for _ in range(height):
+            row = [field.zero] * width
+            for b in basis:
+                c = field.scalar(_value(field, rng, zero_share=0.3))
+                row = [v + c * w for v, w in zip(row, b)]
+            rows.append(row)
+    elif shape == "repeated" and rows:
+        c = field.scalar(_value(field, rng, zero_share=0) or 1)
+        rows.insert(rng.randrange(height + 1), [c * v for v in rng.choice(rows)])
+    elif shape == "zero":
+        rows.insert(rng.randrange(height + 1), [field.zero] * width)
+    assert matrix_rank(rows) == boxed_matrix_rank(rows)
+
+
+def test_matrix_rank_of_an_empty_matrix():
+    """The empty matrix has rank 0; an antichain has no radical coordinates,
+    so its psi block is the empty 0 x 0 matrix, which counts as invertible."""
+    assert matrix_rank([]) == boxed_matrix_rank([]) == 0
+    antichain = builtin_poset("antichain:3")
+    rng = random.Random(0)
+    for field in (F2, F3, Q):
+        spec = random_preserver_spec(antichain, field, rng)
+        assert spec.radical_map.rows[antichain.n:] == ()
+        assert _psi_radical_block_invertible(spec)
+
+
+@given(st.integers(1, 6), st.integers(0, 3), st.integers(0, 2**32 - 1))
+def test_to_xor_endo_matches_boxed_reference(n, perturbed, seed):
+    """Additive tables, and tables with one or more entries changed: the
+    result, or the law, message and first witness mask of the refutation,
+    agree."""
+    rng = random.Random(seed)
+    endo = random_xor_endo(tuple(f"x{i}" for i in range(n)), rng)
+    table = [endo.apply_mask(m) for m in range(1 << n)]
+    for _ in range(perturbed):
+        table[rng.randrange(1 << n)] ^= rng.randrange(1, 1 << n)
+    table = SubsetMapTable(endo.elements, tuple(table))
+    assert outcome(to_xor_endo, table) == outcome(boxed_to_xor_endo, table)

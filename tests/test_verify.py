@@ -1,5 +1,8 @@
+import importlib.util
 import random
+import sys
 from itertools import product
+from pathlib import Path
 
 import pytest
 
@@ -106,7 +109,22 @@ def test_count_from_theorem_values():
         count_from_theorem(CHAIN2, Q)
 
 
-@pytest.mark.parametrize("poset,field,expected", [
+def _benchmark_census_pins():
+    """The benchmark's census digest function and its pinned digests, keyed
+    like its instances ("antichain:4/Fp2"), read from ``perfbench/``."""
+    bench = Path(__file__).resolve().parents[1] / "perfbench"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", bench / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = workloads  # its dataclasses look their module up
+    spec.loader.exec_module(workloads)
+    expected = workloads.load_expected()
+    pins = {key: want["digest"] for section in ("census-sparse", "census-dense")
+            for key, want in expected[section].items()}
+    return workloads.census_digest, pins
+
+
+census_digest, CENSUS_PINS = _benchmark_census_pins()
+CENSUS_CASES = [
     (CHAIN2, F3, 36),
     (CHAIN2, F2, 16),
     (ANTI2, F3, 4),
@@ -115,12 +133,28 @@ def test_count_from_theorem_values():
     (ANTI3, F3, 27),
     (builtin_poset("antichain:4"), F2, 4096),
     (CHAIN2, F5, 100),
-])
+]
+
+
+def _census_key(poset, field) -> str:
+    return f"{poset.name}/Fp{field.p}"
+
+
+@pytest.mark.parametrize("poset,field,expected", CENSUS_CASES)
 def test_census_counts(poset, field, expected):
+    """Counts, and for the benchmark's instances the digest of every
+    survivor record, so a changed record fails here as well."""
     report = enumerate_preservers(poset, field)
     assert report.oracle_count == expected
     assert report.theorem_count == expected
     assert report.consistent
+    key = _census_key(poset, field)
+    if key in CENSUS_PINS:
+        assert census_digest(report.to_json()) == CENSUS_PINS[key]
+
+
+def test_every_pinned_census_is_a_census_case():
+    assert set(CENSUS_PINS) <= {_census_key(p, f) for p, f, _ in CENSUS_CASES}
 
 
 @pytest.mark.parametrize("poset,field", [
