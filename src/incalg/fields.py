@@ -5,13 +5,13 @@ fields, a reduced ``Fraction`` for the rationals) tagged with their field.
 No floating point is used anywhere: ``Field.scalar`` refuses floats.
 
 ``Scalar`` is the type at every API boundary, and its operators serve the
-code that is not hot. The hot kernels (``LinearMap.apply``, convolution,
-``FIElement.inverse``, ``matrix_rank``, the subset table of
-``extract_subset_map`` and the diagonal-pattern scans) compute on the plain
-``.value``s instead: they accumulate a plain ``int`` (or a ``Fraction``
-over Q) and hand it to ``Field.reduce``, which reduces once and wraps once. Those kernels do not
-check operands per operation, so field membership is checked when an
-element or a map is constructed, by ``Field.check_scalars``.
+code that is not hot. A ``LinearMap`` holds canonical values; its ``rows``
+box them on read. The hot kernels (``LinearMap.apply``, convolution,
+``FIElement.inverse``, ``matrix_rank``, the subset table and the pattern
+scans) accumulate a plain ``int`` (a ``Fraction`` over Q) and reduce it once
+by ``Field.canonical``, or by ``Field.reduce`` to a ``Scalar``. Operands are
+not checked per operation: ``Field.check_scalars`` checks field membership
+once, when an element or a map is constructed from scalars.
 """
 
 from __future__ import annotations
@@ -54,10 +54,13 @@ class Field:
         raise :class:`ScalarError`."""
         raise NotImplementedError
 
-    def reduce(self, value) -> "Scalar":
-        """Reduce a value computed on plain ``.value``s to canonical form and
-        wrap it; the input is trusted, so nothing is type-checked."""
+    def canonical(self, value):
+        """The canonical form of a trusted value computed on ``.value``s."""
         raise NotImplementedError
+
+    def reduce(self, value) -> "Scalar":
+        """:meth:`canonical`, wrapped as a scalar."""
+        return Scalar(self, self.canonical(value))
 
     def check_scalars(self, values) -> None:
         """Raise unless every value is a :class:`Scalar` of this field."""
@@ -123,8 +126,8 @@ class PrimeField(Field):
             value = value.numerator
         return self.reduce(value)
 
-    def reduce(self, value) -> "Scalar":
-        return Scalar(self, value % self.p)
+    def canonical(self, value: int) -> int:
+        return value % self.p
 
     def elements(self) -> list["Scalar"]:
         return [Scalar(self, v) for v in range(self.p)]
@@ -163,9 +166,9 @@ class Rationals(Field):
             return value
         return self.reduce(_exact(value, self))
 
-    def reduce(self, value) -> "Scalar":
+    def canonical(self, value) -> Fraction:
         # a sum over no terms is the int 0; Fraction(Fraction) would be slow
-        return Scalar(self, value if type(value) is Fraction else Fraction(value))
+        return value if type(value) is Fraction else Fraction(value)
 
     def elements(self) -> list["Scalar"]:
         raise InfiniteFieldError("cannot enumerate an infinite field")

@@ -45,20 +45,33 @@ IDEMPOTENT_SCAN_CAP = 10**6
 
 
 class LinearMap:
-    """A K-linear map on I(X,K) as a matrix in the canonical basis."""
+    """A K-linear map on I(X,K) as a matrix in the canonical basis, held as
+    canonical values in ``values``; ``rows`` boxes them on read."""
 
-    __slots__ = ("poset", "field", "rows")
+    __slots__ = ("poset", "field", "values")
 
     def __init__(self, poset: Poset, field: Field,
                  rows: Sequence[Sequence[Scalar]]):
         d = poset.dimension
+        rows = tuple(tuple(r) for r in rows)
+        if len(rows) != d or any(len(r) != d for r in rows):
+            raise MismatchError(f"expected a {d}x{d} matrix")
+        field.check_scalars(c for row in rows for c in row)
         self.poset = poset
         self.field = field
-        self.rows: tuple[tuple[Scalar, ...], ...] = tuple(tuple(r) for r in rows)
-        if len(self.rows) != d or any(len(r) != d for r in self.rows):
-            raise MismatchError(f"expected a {d}x{d} matrix")
-        for row in self.rows:
-            field.check_scalars(row)
+        self.values: tuple[tuple, ...] = tuple(tuple(c.value for c in row) for row in rows)
+
+    @classmethod
+    def _of_values(cls, poset: Poset, field: Field, values: tuple[tuple, ...]) -> "LinearMap":
+        """A map on a d x d tuple of tuples of canonical values, unchecked."""
+        phi = object.__new__(cls)
+        phi.poset, phi.field, phi.values = poset, field, values
+        return phi
+
+    @property
+    def rows(self) -> tuple[tuple[Scalar, ...], ...]:
+        field = self.field
+        return tuple(tuple(Scalar(field, v) for v in row) for row in self.values)
 
     @classmethod
     def from_rows(cls, poset: Poset, field: Field,
@@ -68,14 +81,11 @@ class LinearMap:
     @classmethod
     def identity(cls, poset: Poset, field: Field) -> "LinearMap":
         d = poset.dimension
-        z, o = field.zero, field.one
-        return cls(poset, field, [[o if i == j else z for j in range(d)] for i in range(d)])
+        return cls.from_rows(poset, field, [[int(i == j) for j in range(d)] for i in range(d)])
 
     @classmethod
     def zero(cls, poset: Poset, field: Field) -> "LinearMap":
-        d = poset.dimension
-        z = field.zero
-        return cls(poset, field, [[z] * d for _ in range(d)])
+        return cls.from_rows(poset, field, [[0] * poset.dimension] * poset.dimension)
 
     @classmethod
     def from_basis_images(cls, poset: Poset, field: Field,
@@ -94,26 +104,28 @@ class LinearMap:
     def apply(self, a: FIElement) -> FIElement:
         """The image of ``a``, computed on plain values: each output
         coordinate sums the products of nonzero row entries and nonzero
-        input coordinates, and is reduced once. Entries and coefficients
-        were checked to lie in the field when the map and element were
-        built."""
+        input coordinates, and is reduced once. The element's coefficients
+        were checked to lie in the field when it was built."""
         if a.poset != self.poset:
             raise MismatchError("map and element live over different posets")
         if a.field != self.field:
             raise FieldMismatchError("map and element live over different fields")
         support = [(j, c.value) for j, c in enumerate(a.coeffs) if c.value]
         reduce = self.field.reduce
-        out = [reduce(sum([c * v for j, v in support if (c := row[j].value)]))
-               for row in self.rows]
+        out = [reduce(sum([c * v for j, v in support if (c := row[j])]))
+               for row in self.values]
         return FIElement(self.poset, self.field, out)
 
     def is_unital(self) -> bool:
-        delta = FIElement.delta(self.poset, self.field)
-        return self.apply(delta) == delta
+        """phi(delta) = delta, read off the row sums over the diagonal columns."""
+        n = self.poset.n
+        canonical = self.field.canonical
+        return all(canonical(sum(row[:n])) == (1 if i < n else 0)
+                   for i, row in enumerate(self.values))
 
     def rank(self) -> int:
         """Exact rank by Gaussian elimination (any supported field)."""
-        return matrix_rank(self.rows)
+        return _rank_of_values(self.field, self.values)
 
     def is_bijective(self) -> bool:
         return self.rank() == self.poset.dimension
@@ -123,35 +135,36 @@ class LinearMap:
         return LinearMap(self.poset, self.field,
                          [[k * c for c in row] for row in self.rows])
 
-    def raw_rows(self) -> tuple[tuple[object, ...], ...]:
-        return tuple(tuple(c.value for c in row) for row in self.rows)
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, LinearMap)
             and other.poset == self.poset
             and other.field == self.field
-            and other.rows == self.rows
+            and other.values == self.values
         )
 
     def __hash__(self) -> int:
-        return hash((self.poset, self.field, self.rows))
+        return hash((self.poset, self.field, self.values))
 
     def __repr__(self) -> str:
         return f"LinearMap({self.poset.display_name} over {self.field}, d={self.poset.dimension})"
 
 
 def matrix_rank(rows: Sequence[Sequence[Scalar]]) -> int:
-    """Exact rank of a matrix of scalars, by forward elimination on plain
-    values: only the pivots are inverted, as ``Scalar``s, and each updated
-    entry is reduced once through ``Field.reduce``. Zero rows are dropped
-    first, as they add nothing to the rank."""
-    kept = [row for row in rows if any(row)]
-    if not kept:
+    """Exact rank of a matrix of scalars."""
+    field = next((c.field for row in rows for c in row), None)
+    return 0 if field is None else _rank_of_values(field, [[c.value for c in row] for row in rows])
+
+
+def _rank_of_values(field: Field, rows: Sequence[Sequence]) -> int:
+    """Exact rank of a matrix of canonical values of ``field``, by forward
+    elimination: only the pivots are inverted, as ``Scalar``s, and each
+    updated entry is reduced once through ``Field.canonical``. Zero rows are
+    dropped first, as they add nothing to the rank."""
+    work = [list(row) for row in rows if any(row)]
+    if not work:
         return 0
-    field = kept[0][0].field
-    reduce = field.reduce
-    work = [[c.value for c in row] for row in kept]
+    canonical = field.canonical
     height = len(work)
     rank = 0
     for col in range(len(work[0])):
@@ -164,8 +177,8 @@ def matrix_rank(rows: Sequence[Sequence[Scalar]]) -> int:
         for r in range(rank + 1, height):
             row = work[r]
             if row[col]:
-                f = reduce(row[col] * inv).value
-                work[r] = [reduce(v - f * w).value if w else v for v, w in zip(row, top)]
+                f = canonical(row[col] * inv)
+                work[r] = [canonical(v - f * w) if w else v for v, w in zip(row, top)]
         rank += 1
         if rank == height:
             break
@@ -194,47 +207,40 @@ class PreserverSpec:
         if self.radical_map.poset != self.poset or self.radical_map.field != self.field:
             raise MismatchError("radical map must live over the same poset and field")
         n = self.poset.n
-        if any(any(row) for row in self.radical_map.rows[:n]):
+        values = self.radical_map.values
+        if any(any(row) for row in values[:n]):
             raise MismatchError("radical map must have zero diagonal-output rows")
-        delta = FIElement.delta(self.poset, self.field)
-        if not self.radical_map.apply(delta).is_zero():
+        # psi(delta) sums each row over the diagonal columns
+        canonical = self.field.canonical
+        if any(canonical(sum(row[:n])) for row in values[n:]):
             raise MismatchError("psi must annihilate delta")
 
 
 def build_preserver(spec: PreserverSpec) -> LinearMap:
     """Assemble the matrix of the preserver described by a normal form.
 
-    Diagonal-output rows copy the input diagonal through the endomorphism
-    (output coordinate y reads input coordinate x when y lies in the block
-    of x; over F_2 the diagonal block is the GF(2) matrix itself). Radical
-    rows come from the radical map.
+    Diagonal-output rows copy the input diagonal through the endomorphism:
+    output coordinate y reads input coordinate x when y lies in the image
+    of {x} (the block of x; over F_2 the diagonal block is the GF(2) matrix
+    itself). Radical rows come from the radical map.
     """
     poset, field = spec.poset, spec.field
     n, d = poset.n, poset.dimension
-    z, o = field.zero, field.one
-    rows: list[list[Scalar]] = []
-    if isinstance(spec.endo, PartitionEndo):
-        owner = spec.endo.owners()
-        for y in range(n):
-            row = [z] * d
-            row[owner[y]] = o
-            rows.append(row)
-    else:
-        cols = spec.endo.columns
-        for y in range(n):
-            rows.append([o if cols[x] >> y & 1 else z for x in range(n)] + [z] * (d - n))
-    rows.extend(list(r) for r in spec.radical_map.rows[n:])
-    return LinearMap(poset, field, rows)
+    z, o = field.zero.value, field.one.value
+    images = [spec.endo.apply_mask(1 << x) for x in range(n)]
+    rows = tuple(tuple(o if x < n and images[x] >> y & 1 else z for x in range(d))
+                 for y in range(n))
+    return LinearMap._of_values(poset, field, rows + spec.radical_map.values[n:])
 
 
-def _diagonal_block(phi: LinearMap) -> list[list]:
+def _diagonal_block(phi: LinearMap) -> list[tuple]:
     """The values of the diagonal-output rows on the diagonal columns.
 
     The image diagonal of a diagonal element (one that is zero on every
     radical coordinate) is this block times its diagonal, for any map.
     """
     n = phi.poset.n
-    return [[c.value for c in row[:n]] for row in phi.rows[:n]]
+    return [row[:n] for row in phi.values[:n]]
 
 
 def _diagonal_element(poset: Poset, field: Field, diagonal) -> FIElement:
@@ -262,7 +268,7 @@ def extract_subset_map(phi: LinearMap) -> SubsetMapTable:
             f"subset-map extraction needs 2^{n} images; cap is |X| <= {SUBSET_TABLE_CAP}",
             size=1 << n)
     elements = poset.elements
-    reduce = field.reduce
+    canonical = field.canonical
     sums = [[0] * n]
     table = [0]
     for column in zip(*_diagonal_block(phi)):
@@ -271,7 +277,7 @@ def extract_subset_map(phi: LinearMap) -> SubsetMapTable:
             out = 0
             for i, v in enumerate(diagonal):
                 if v != 0 and v != 1:  # a sum of canonical values that is 0 or 1 is canonical
-                    v = reduce(v).value
+                    v = canonical(v)
                 if v == 1:
                     out |= 1 << i
                 elif v:
@@ -279,7 +285,7 @@ def extract_subset_map(phi: LinearMap) -> SubsetMapTable:
                     subset = ", ".join(x for j, x in enumerate(elements) if mask >> j & 1)
                     raise ClassificationError(
                         "from-vf-to-lb",
-                        f"diagonal value {field.format_scalar(reduce(v))} outside {{0, 1}} "
+                        f"diagonal value {field.format_value(v)} outside {{0, 1}} "
                         f"at {elements[i]} for the idempotent of {{{subset}}}",
                         witness=f"A = {{{subset}}}")
             table.append(out)
@@ -289,12 +295,9 @@ def extract_subset_map(phi: LinearMap) -> SubsetMapTable:
 
 def extract_radical_map(phi: LinearMap) -> LinearMap:
     """The radical projection of phi: diagonal-output rows zeroed."""
-    n = phi.poset.n
-    z = phi.field.zero
-    d = phi.poset.dimension
-    rows = [[z] * d for _ in range(n)]
-    rows.extend(list(r) for r in phi.rows[n:])
-    return LinearMap(phi.poset, phi.field, rows)
+    n, d = phi.poset.n, phi.poset.dimension
+    zero_row = (phi.field.zero.value,) * d
+    return LinearMap._of_values(phi.poset, phi.field, (zero_row,) * n + phi.values[n:])
 
 
 # predicate suite -------------------------------------------------------------
@@ -320,13 +323,11 @@ def find_nonpreserved_unit(phi: LinearMap, gate_override: bool = False) -> FIEle
     if n > PRESERVER_CAP_X and not gate_override:
         raise GateError(
             f"preserves_invertibility capped at |X| <= {PRESERVER_CAP_X}", size=n)
-    delta = FIElement.delta(poset, field)
-    image_delta = phi.apply(delta)
-    for i in range(n):
+    for i, row in enumerate(phi.values[:n]):
         for j in range(n, d):
-            c = phi.rows[i][j]
-            if c:
-                t = -(image_delta.coeffs[i] * c.inverse())
+            if row[j]:
+                delta = FIElement.delta(poset, field)
+                t = -(phi.apply(delta).coeffs[i] * Scalar(field, row[j]).inverse())
                 x, y = poset.basis_pairs[j]
                 return delta + basis_element(poset, field, x, y).scale(t)
     p = field.p
@@ -535,8 +536,8 @@ def _poset_reference(poset: Poset) -> str:
 def format_linear_map(phi: LinearMap) -> str:
     header = (f"map\nfield: {format_field(phi.field)}\n"
               f"poset: {_poset_reference(phi.poset)}\n")
-    body = "\n".join(
-        " ".join(phi.field.format_scalar(c) for c in row) for row in phi.rows)
+    fmt = phi.field.format_value
+    body = "\n".join(" ".join(fmt(v) for v in row) for row in phi.values)
     return header + body + "\n"
 
 
@@ -584,18 +585,18 @@ def format_preserver_spec(spec: PreserverSpec) -> str:
     n = spec.poset.n
     header = (f"preserver-spec\nfield: {format_field(spec.field)}\n"
               f"poset: {_poset_reference(spec.poset)}\n{format_endo(spec.endo)}\npsi:\n")
-    body = "\n".join(
-        " ".join(spec.field.format_scalar(c) for c in row)
-        for row in spec.radical_map.rows[n:])
+    fmt = spec.field.format_value
+    body = "\n".join(" ".join(fmt(v) for v in row) for row in spec.radical_map.values[n:])
     return header + body + ("\n" if body else "")
 
 
 def linear_map_to_json(phi: LinearMap) -> list[list[str]]:
-    return [[phi.field.format_scalar(c) for c in row] for row in phi.rows]
+    fmt = phi.field.format_value
+    return [[fmt(v) for v in row] for row in phi.values]
 
 
 def psi_to_json(spec: PreserverSpec) -> list[list[str]]:
     """The radical-output rows of a normal form's radical map, formatted;
     its n diagonal-output rows are zero by construction and left out."""
-    fmt = spec.field.format_scalar
-    return [[fmt(c) for c in row] for row in spec.radical_map.rows[spec.poset.n:]]
+    fmt = spec.field.format_value
+    return [[fmt(v) for v in row] for row in spec.radical_map.values[spec.poset.n:]]

@@ -46,12 +46,12 @@ from .preservers import (
     is_jordan_endo,
     is_strong,
     iter_idempotents,
-    matrix_rank,
     preserves_idempotents,
     preserves_inverses,
     preserves_invertibility,
     psi_to_json,
     _gate,
+    _rank_of_values,
 )
 
 CENSUS_SPACE_CAP = 10**8  # q^(d^2) matrices
@@ -210,25 +210,22 @@ def enumerate_specs(poset: Poset, field: PrimeField) -> Iterator[PreserverSpec]:
     m = d - n
     regime = "xor" if field.p == 2 else "boolean"
     elems = range(field.p)
-    zero_rows = [[field.zero] * d for _ in range(n)]
+    zero_rows = ((0,) * d,) * n
     row_choices = [_psi_row(field, head, tail)
                    for head in product(elems, repeat=n - 1)
                    for tail in product(elems, repeat=m)]
     for endo in enumerate_endos(poset.elements, regime, gate_override=True):
         for rows in product(row_choices, repeat=m):
-            psi = LinearMap(poset, field, zero_rows + list(rows))
+            psi = LinearMap._of_values(poset, field, zero_rows + rows)
             yield PreserverSpec(poset, field, endo, psi)
 
 
-def _psi_row(field: Field, head, tail) -> list:
-    """One radical-output row of a radical map annihilating the identity:
-    the free diagonal entries ``head``, minus their sum (so the diagonal
-    entries sum to zero), then the radical entries ``tail``."""
-    head = [field.scalar(v) for v in head]
-    last = field.zero
-    for s in head:
-        last = last - s
-    return head + [last] + [field.scalar(v) for v in tail]
+def _psi_row(field: Field, head, tail) -> tuple:
+    """One radical-output row of a radical map annihilating the identity,
+    as canonical values: the free diagonal entries ``head``, minus their sum
+    (so the diagonal entries sum to zero), then the radical entries
+    ``tail``. Both hold canonical values of ``field``."""
+    return (*head, field.canonical(-sum(head)), *tail)
 
 
 # the brute-force kernel -------------------------------------------------------
@@ -302,9 +299,8 @@ def enumerate_preservers(poset: Poset, field: PrimeField, start: int = 0,
     if not 0 <= start <= stop <= space:
         raise IncalgError(f"bad census range [{start}, {stop}) for space {space}")
     records = []
-    reduce = field.reduce
     for index, rows in _iter_preserver_matrices(poset, field, start, stop):
-        phi = LinearMap(poset, field, [[reduce(v) for v in row] for row in rows])
+        phi = LinearMap._of_values(poset, field, rows)
         spec = classify(phi, gate_override=gate_override, assume_preserver=True)
         records.append(MapRecord(
             index=index,
@@ -376,12 +372,12 @@ def _lemma_checks(phi: LinearMap, table: SubsetMapTable,
 
     # the image diagonal only depends on the input diagonal; phi(a)_D is read
     # off the diagonal-output rows over all d columns, never the block alone
-    reduce = field.reduce
-    rows = [[c.value for c in row] for row in phi.rows[:n]]
+    canonical = field.canonical
+    rows = phi.values[:n]
 
     def image_diagonal(vals) -> list:
         support = [(j, v) for j, v in enumerate(vals) if v]
-        return [reduce(sum([row[j] * v for j, v in support if row[j]])).value
+        return [canonical(sum([row[j] * v for j, v in support if row[j]]))
                 for row in rows]
 
     values = [[c.value for c in a.coeffs] for a in sample]
@@ -436,7 +432,7 @@ def _lemma_checks(phi: LinearMap, table: SubsetMapTable,
                 for y in range(n):
                     if image_mask >> y & 1:
                         expected[y] += k
-            if image != [reduce(v).value for v in expected]:
+            if image != [canonical(v) for v in expected]:
                 witness = f"alpha = {format_element(a)}"
                 break
         out["vf(f)_D=sum-k-e_lb(L_k)"] = witness
@@ -480,7 +476,7 @@ def verify_lemma_suite(poset: Poset, field: PrimeField,
         census = enumerate_preservers(poset, field, gate_override=gate_override)
         instances = [
             (f"map #{rec.index} on {poset.display_name} over {format_field(field)}",
-             LinearMap.from_rows(poset, field, rec.matrix))
+             LinearMap._of_values(poset, field, rec.matrix))
             for rec in census.records
         ]
     elif sample == "randomized":
@@ -528,20 +524,20 @@ def random_preserver_spec(poset: Poset, field: Field,
         for y in range(n):
             blocks[rng.randrange(n)] |= 1 << y
         endo = PartitionEndo(poset.elements, tuple(blocks))
-    rows = [[field.zero] * d for _ in range(n)]
+    rows = ((field.zero.value,) * d,) * n
     for _ in range(m):
         head = [random_value() for _ in range(n - 1)]
         tail = [random_value() for _ in range(m)]
-        rows.append(_psi_row(field, head, tail))
-    return PreserverSpec(poset, field, endo, LinearMap(poset, field, rows))
+        rows += (_psi_row(field, head, tail),)
+    return PreserverSpec(poset, field, endo, LinearMap._of_values(poset, field, rows))
 
 
 # criteria ---------------------------------------------------------------------
 
 def _psi_radical_block_invertible(spec: PreserverSpec) -> bool:
     n = spec.poset.n
-    block = [row[n:] for row in spec.radical_map.rows[n:]]
-    return matrix_rank(block) == len(block)
+    block = [row[n:] for row in spec.radical_map.values[n:]]
+    return _rank_of_values(spec.field, block) == len(block)
 
 
 def verify_criteria(spec: PreserverSpec,
@@ -611,7 +607,7 @@ def verify_inverse_preserver_results(poset: Poset, field: PrimeField,
     delta = FIElement.delta(poset, field)
     inverse_preserver_count = 0
     for index, rows in _iter_preserver_matrices(poset, field, 0, space):
-        phi = LinearMap.from_rows(poset, field, rows)
+        phi = LinearMap._of_values(poset, field, rows)
         instance = f"map #{index} on {poset.display_name} over {format_field(field)}"
         ip = preserves_inverses(phi, gate_override=gate_override)
         je = is_jordan_endo(phi)
@@ -644,7 +640,7 @@ def verify_inverse_preserver_results(poset: Poset, field: PrimeField,
     if poset.is_connected():
         for index, rows in _iter_preserver_matrices(poset, field, 0, space,
                                                     unital=False):
-            phi = LinearMap.from_rows(poset, field, rows)
+            phi = LinearMap._of_values(poset, field, rows)
             if not phi.is_bijective():
                 continue
             if not preserves_inverses(phi, gate_override=gate_override):
@@ -721,7 +717,7 @@ def reproduce_example(example_id: str) -> LemmaVerdict:
             ("lambda is the identity",
              all(table.table[mask] == mask for mask in range(4))),
             ("classified lambda is the identity partition", spec.endo == identity_partition),
-            ("psi = 0", all(not any(row) for row in spec.radical_map.rows)),
+            ("psi = 0", not any(map(any, spec.radical_map.values))),
         ]
         passed, witness = _all_pass(checks)
         if passed:

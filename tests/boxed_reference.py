@@ -9,13 +9,15 @@ goes to :func:`boxed_find_nonpreserved_unit`. Every product and sum runs
 through ``Scalar``'s operators, which coerce and check the field of each
 operand, and every pattern of a scan is applied as a whole element.
 :func:`boxed_to_xor_endo` checks additivity mask by mask with
-``XorEndo.apply_mask``.
+``XorEndo.apply_mask``. :func:`boxed_is_unital`, :func:`boxed_spec_checks`
+and stage (i) of :func:`boxed_find_nonpreserved_unit` apply the map to
+delta, where the library reads row sums off the map's values.
 """
 
 from itertools import product
 
 from incalg.algebra import FIElement, basis_element, format_element, indicator
-from incalg.endos import SUBSET_TABLE_CAP, SubsetMapTable, XorEndo, labels_of
+from incalg.endos import SUBSET_TABLE_CAP, PartitionEndo, SubsetMapTable, XorEndo, labels_of
 from incalg.errors import (
     ClassificationError,
     FieldMismatchError,
@@ -113,10 +115,33 @@ def boxed_find_nonpreserved_unit(phi, gate_override=False):
     return None
 
 
+def boxed_is_unital(phi):
+    delta = FIElement.delta(phi.poset, phi.field)
+    return boxed_apply(phi, delta) == delta
+
+
+def boxed_spec_checks(poset, field, endo, radical_map):
+    """``PreserverSpec.__post_init__``: raises ``MismatchError`` on the first
+    failed check, or returns None."""
+    if endo.elements != poset.elements:
+        raise MismatchError("endomorphism ambient set must match the poset elements")
+    if field.cardinality == 2 and not isinstance(endo, XorEndo):
+        raise MismatchError("over F_2 the endomorphism must be in GF(2)-matrix form")
+    if field.cardinality != 2 and not isinstance(endo, PartitionEndo):
+        raise MismatchError("with |K| > 2 the endomorphism must be in partition form")
+    if radical_map.poset != poset or radical_map.field != field:
+        raise MismatchError("radical map must live over the same poset and field")
+    n = poset.n
+    if any(any(row) for row in radical_map.rows[:n]):
+        raise MismatchError("radical map must have zero diagonal-output rows")
+    delta = FIElement.delta(poset, field)
+    if not boxed_apply(radical_map, delta).is_zero():
+        raise MismatchError("psi must annihilate delta")
+
+
 def boxed_find_strongness_counterexample(phi, gate_override=False):
     field = _require_prime(phi, "is_strong")
-    delta = FIElement.delta(phi.poset, field)
-    if (boxed_apply(phi, delta) != delta
+    if (not boxed_is_unital(phi)
             or boxed_find_nonpreserved_unit(phi, gate_override) is not None):
         raise ValueError("is_strong requires a unital invertibility preserver")
     poset = phi.poset

@@ -68,7 +68,7 @@ def census_anti2_f3():
 def test_criterion_1_census_chain2_f3(census_chain2_f3):
     rep, elapsed = census_chain2_f3
     oracle_matrices = {r.matrix for r in rep.records}
-    built = {build_preserver(s).raw_rows() for s in enumerate_specs(CHAIN2, F3)}
+    built = {build_preserver(s).values for s in enumerate_specs(CHAIN2, F3)}
     report("1 census 2-chain over Fp 3", [
         ("matrix space is 19683", rep.matrix_space == 19683),
         ("oracle_count = 36", rep.oracle_count == 36),
@@ -81,7 +81,7 @@ def test_criterion_1_census_chain2_f3(census_chain2_f3):
 def test_criterion_2_census_chain2_f2(census_chain2_f2):
     rep, elapsed = census_chain2_f2
     oracle_matrices = {r.matrix for r in rep.records}
-    built = {build_preserver(s).raw_rows() for s in enumerate_specs(CHAIN2, F2)}
+    built = {build_preserver(s).values for s in enumerate_specs(CHAIN2, F2)}
     report("2 census 2-chain over Fp 2", [
         ("matrix space is 512", rep.matrix_space == 512),
         ("count = 16", rep.oracle_count == 16 == rep.theorem_count),

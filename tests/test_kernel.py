@@ -1,7 +1,8 @@
 """Differential tests of the value-coded kernels (``LinearMap.apply``,
 convolution, ``FIElement.inverse``, ``matrix_rank``, ``extract_subset_map``,
-``to_xor_endo``, the two diagonal-pattern scans and the element-level lemma
-laws) against the boxed-``Scalar`` reference in ``boxed_reference.py``."""
+``to_xor_endo``, the two diagonal-pattern scans, the element-level lemma
+laws, and the row-sum checks of ``is_unital`` and ``PreserverSpec``) against
+the boxed-``Scalar`` reference in ``boxed_reference.py``."""
 
 import random
 from fractions import Fraction
@@ -13,7 +14,9 @@ from incalg import (
     ClassificationError,
     FIElement,
     LinearMap,
+    MismatchError,
     NotAUnitError,
+    PreserverSpec,
     PrimeField,
     SubsetMapTable,
     build_preserver,
@@ -36,8 +39,10 @@ from boxed_reference import (
     boxed_find_nonpreserved_unit,
     boxed_find_strongness_counterexample,
     boxed_inverse,
+    boxed_is_unital,
     boxed_lemma_checks,
     boxed_matrix_rank,
+    boxed_spec_checks,
     boxed_to_xor_endo,
 )
 from conftest import F2, F3, F5, POSET_POOL, PRIME_FIELDS, Q, RING_FIELDS, random_xor_endo
@@ -113,6 +118,38 @@ def perturbed_maps(phi: LinearMap, rng: random.Random) -> list[LinearMap]:
     return maps
 
 
+def changed_entry(phi: LinearMap, i: int, j: int, rng: random.Random) -> LinearMap:
+    """phi with a nonzero value added to entry (i, j)."""
+    rows = [list(r) for r in phi.rows]
+    rows[i][j] = rows[i][j] + phi.field.scalar(_value(phi.field, rng, zero_share=0) or 1)
+    return LinearMap(phi.poset, phi.field, rows)
+
+
+def radical_maps(spec, rng: random.Random) -> list[LinearMap]:
+    """A normal form's radical map and variants of it: a radical entry of a
+    radical-output row changed (it still annihilates delta), a diagonal
+    entry of one changed (it no longer does), a diagonal-output row made
+    nonzero, and random radical-output rows."""
+    poset, field, psi = spec.poset, spec.field, spec.radical_map
+    n, d = poset.n, poset.dimension
+    maps = [psi, changed_entry(psi, rng.randrange(n), rng.randrange(d), rng)]
+    if d > n:
+        maps.append(changed_entry(psi, rng.randrange(n, d), rng.randrange(n, d), rng))
+        maps.append(changed_entry(psi, rng.randrange(n, d), rng.randrange(n), rng))
+    maps.append(LinearMap.from_rows(poset, field, [[0] * d] * n + [
+        [_value(field, rng) for _ in range(d)] for _ in range(d - n)]))
+    return maps
+
+
+def mismatch(fn, *args):
+    """The message of the ``MismatchError`` fn raised, or None."""
+    try:
+        fn(*args)
+    except MismatchError as exc:
+        return str(exc)
+    return None
+
+
 def lemma_instance(poset, field, rng: random.Random):
     """A random preserver's subset table, a small seeded element sample, and
     the preserver with its perturbed copies."""
@@ -169,9 +206,11 @@ def test_extract_subset_map_matches_boxed_reference(instance):
 
 @given(instances(PRIME_FIELDS, scan_cap=SCAN_CAP))
 def test_nonpreserved_unit_scan_matches_boxed_reference(instance):
+    """Each map kind and its perturbed copies, unital or not; a diagonal
+    row perturbed at a radical column gives a stage (i) witness."""
     poset, field, kind, rng = instance
-    phi = random_map(poset, field, kind, rng)
-    assert outcome(find_nonpreserved_unit, phi) == outcome(boxed_find_nonpreserved_unit, phi)
+    for phi in perturbed_maps(random_map(poset, field, kind, rng), rng):
+        assert outcome(find_nonpreserved_unit, phi) == outcome(boxed_find_nonpreserved_unit, phi)
 
 
 @given(instances(PRIME_FIELDS, scan_cap=SCAN_CAP))
@@ -201,6 +240,44 @@ def test_map_kinds_reach_every_branch():
                         seen.add("stage (ii)")
                     seen.add(outcome(extract_subset_map, phi)[0])
     assert seen == {"preserver", "stage (i)", "stage (ii)", "result", "refuted"}
+
+
+@given(instances(RING_FIELDS))
+def test_is_unital_matches_boxed_reference(instance):
+    """Every map kind, and a copy with one diagonal-column entry changed, so
+    one row sum over the diagonal columns no longer matches delta."""
+    poset, field, kind, rng = instance
+    phi = random_map(poset, field, kind, rng)
+    non_unital = changed_entry(phi, rng.randrange(poset.dimension), rng.randrange(poset.n), rng)
+    for psi in (phi, non_unital):
+        assert psi.is_unital() == boxed_is_unital(psi)
+
+
+@given(instances(RING_FIELDS))
+def test_spec_checks_match_boxed_reference(instance):
+    poset, field, _, rng = instance
+    spec = random_preserver_spec(poset, field, rng)
+    for psi in radical_maps(spec, rng):
+        assert (mismatch(PreserverSpec, poset, field, spec.endo, psi)
+                == mismatch(boxed_spec_checks, poset, field, spec.endo, psi))
+
+
+def test_unital_and_spec_cases_reach_every_branch():
+    """The generators produce unital and non-unital maps, and radical maps
+    passing each check and failing each of the two radical-map checks."""
+    rng = random.Random(0)
+    seen = set()
+    for field in RING_FIELDS:
+        for poset in POSET_POOL[:5]:
+            for kind in MAP_KINDS:
+                phi = random_map(poset, field, kind, rng)
+                seen.add(phi.is_unital())
+                seen.add(changed_entry(phi, 0, 0, rng).is_unital())
+            spec = random_preserver_spec(poset, field, rng)
+            seen.update(mismatch(PreserverSpec, poset, field, spec.endo, psi)
+                        for psi in radical_maps(spec, rng))
+    assert seen == {True, False, None, "psi must annihilate delta",
+                    "radical map must have zero diagonal-output rows"}
 
 
 @given(instances(RING_FIELDS))

@@ -1,7 +1,9 @@
 import random
+from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import given, strategies as st
 
 from incalg import (
     ClassificationError,
@@ -10,19 +12,24 @@ from incalg import (
     GateError,
     InfiniteFieldError,
     LinearMap,
+    MismatchError,
     ParseError,
     PartitionEndo,
+    PosetError,
     PreserverSpec,
     PrimeField,
+    Scalar,
     ScalarError,
     XorEndo,
     basis_element,
     build_preserver,
     builtin_poset,
     classify,
+    enumerate_preservers,
     extract_radical_map,
     extract_subset_map,
     format_linear_map,
+    format_poset,
     format_preserver_spec,
     is_jordan_endo,
     is_strong,
@@ -33,6 +40,7 @@ from incalg import (
     preserves_inverses,
     preserves_invertibility,
     random_preserver_spec,
+    resolve_poset,
 )
 from incalg.preservers import (
     find_jordan_counterexample,
@@ -41,7 +49,7 @@ from incalg.preservers import (
     spanning_idempotents,
 )
 
-from conftest import F2, F3, F5, Q
+from conftest import F2, F3, F5, POSET_POOL, Q, RING_FIELDS, scalars
 
 CHAIN2 = builtin_poset("chain:2")
 CHAIN3 = builtin_poset("chain:3")
@@ -409,6 +417,88 @@ def test_map_construction_checks_entries():
         LinearMap(CHAIN2, F3, [[o, z, z], [z, o, z], [z, z, Q.one]])
     with pytest.raises(FieldMismatchError):
         LinearMap.from_rows(CHAIN2, F3, [[1, 0, 0], [0, F5.one, 0], [0, 0, 1]])
+    with pytest.raises(MismatchError, match="3x3"):
+        LinearMap(CHAIN2, F3, [[o, z, z], [z, o, z]])
+    with pytest.raises(MismatchError, match="3x3"):
+        LinearMap(CHAIN2, F3, [[o, z, z], [z, o], [z, z, o]])
+
+
+@pytest.mark.parametrize("field", RING_FIELDS)
+def test_map_rows_box_the_stored_values(field):
+    rng = random.Random(3)
+    denominators = (1, 7) if field is Q else (1,)
+    rows = [[field.scalar(Fraction(rng.randint(-9, 9), rng.choice(denominators)))
+             for _ in range(6)] for _ in range(6)]
+    phi = LinearMap(CHAIN3, field, rows)
+    assert phi.rows == tuple(map(tuple, rows))
+    assert all(type(c) is Scalar and c.field == field for row in phi.rows for c in row)
+    assert phi.values == tuple(tuple(c.value for c in row) for row in rows)
+
+
+def test_built_maps_equal_checked_maps():
+    """The normal form of every census survivor rebuilds, through the
+    unchecked constructor, a map equal to the survivor's matrix built
+    through the checked one, with the same hash; likewise for random normal
+    forms over Q, against a checked map assembled from the owners."""
+    census = enumerate_preservers(CHAIN2, F3)
+    assert census.oracle_count == 36
+    for rec in census.records:
+        checked = LinearMap.from_rows(CHAIN2, F3, rec.matrix)
+        built = build_preserver(rec.spec)
+        assert built == checked and hash(built) == hash(checked)
+    rng = random.Random(5)
+    for poset in POSET_POOL:
+        n = poset.n
+        for _ in range(5):
+            spec = random_preserver_spec(poset, Q, rng)
+            owner = spec.endo.owners()
+            rows = [[int(x == owner[y]) for x in range(poset.dimension)] for y in range(n)]
+            rows += [[c.value for c in row] for row in spec.radical_map.rows[n:]]
+            checked = LinearMap.from_rows(poset, Q, rows)
+            built = build_preserver(spec)
+            assert built == checked and hash(built) == hash(checked)
+
+
+@pytest.fixture(scope="module")
+def named_pool(tmp_path_factory):
+    """POSET_POOL, with each poset that is not a builtin saved to a poset file
+    and resolved from it, so that map and spec files can name it."""
+    pool = []
+    for poset in POSET_POOL:
+        try:
+            pool.append(builtin_poset(poset.name))
+        except PosetError:
+            path = tmp_path_factory.mktemp("posets") / "poset.txt"
+            path.write_text(format_poset(poset))
+            pool.append(resolve_poset(str(path)))
+    return pool
+
+
+@given(data=st.data())
+def test_map_file_round_trip_property(named_pool, data):
+    poset = data.draw(st.sampled_from(named_pool))
+    field = data.draw(st.sampled_from(RING_FIELDS))
+    d = poset.dimension
+    rows = data.draw(st.lists(st.lists(scalars(field), min_size=d, max_size=d),
+                              min_size=d, max_size=d))
+    phi = LinearMap(poset, field, rows)
+    text = format_linear_map(phi)
+    parsed = parse_linear_map(text)
+    assert parsed == phi and hash(parsed) == hash(phi)
+    assert format_linear_map(parsed) == text
+
+
+@given(data=st.data())
+def test_spec_file_round_trip_property(named_pool, data):
+    """Random normal forms, including an antichain's, whose psi block is
+    empty."""
+    poset = data.draw(st.sampled_from(named_pool))
+    field = data.draw(st.sampled_from(RING_FIELDS))
+    spec = random_preserver_spec(poset, field, random.Random(data.draw(st.integers(0, 2**32))))
+    text = format_preserver_spec(spec)
+    parsed = parse_preserver_spec(text)
+    assert parsed == spec
+    assert format_preserver_spec(parsed) == text
 
 
 def test_element_of_another_field_refused_by_apply_and_convolution():

@@ -162,8 +162,21 @@ def test_every_pinned_census_is_a_census_case():
 def test_census_set_equality_with_constructed_normal_forms(poset, field):
     census = enumerate_preservers(poset, field)
     oracle_matrices = {rec.matrix for rec in census.records}
-    built_matrices = {build_preserver(spec).raw_rows() for spec in enumerate_specs(poset, field)}
+    built_matrices = {build_preserver(spec).values for spec in enumerate_specs(poset, field)}
     assert oracle_matrices == built_matrices
+
+
+def test_census_builds_no_checked_map(monkeypatch):
+    """Each census survivor, its normal form and its record are built from
+    canonical values, never through the checked ``LinearMap`` constructor."""
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("checked LinearMap constructor called")
+
+    monkeypatch.setattr(LinearMap, "__init__", refuse)
+    for poset, count in ((ANTI3, 27), (CHAIN2, 36)):
+        report = enumerate_preservers(poset, F3)
+        assert report.oracle_count == count
+        assert len(report.to_json()["maps"]) == count
 
 
 def test_census_gate():
