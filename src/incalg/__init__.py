@@ -14,7 +14,6 @@ from .endos import (
     PartitionEndo,
     SubsetMapTable,
     XorEndo,
-    check_partition_preservation,
     enumerate_endos,
     format_endo,
     is_boolean_endo,

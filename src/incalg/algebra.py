@@ -167,12 +167,6 @@ class FIElement:
         return FIElement(poset, self.field,
                          [reduce(s * d_inv[y]) for s, (_, y) in zip(acc, ends)])
 
-    def level_set(self, k: Scalar) -> frozenset[str]:
-        """The elements x with diagonal coefficient equal to k."""
-        k = self.field.scalar(k)
-        return frozenset(
-            x for i, x in enumerate(self.poset.elements) if self.coeffs[i] == k)
-
     def is_idempotent(self) -> bool:
         return self * self == self
 

@@ -316,24 +316,6 @@ def to_xor_endo(table: SubsetMapTable) -> XorEndo:
     return endo
 
 
-def check_partition_preservation(endo: AnyEndo, parts: list[Iterable[str]]) -> bool:
-    """True iff the images of the parts of a partition of X still cover X."""
-    elements = endo.elements
-    full = (1 << len(elements)) - 1
-    masks = [mask_of(elements, part) for part in parts]
-    union = 0
-    for m in masks:
-        if union & m:
-            raise ValueError("parts are not pairwise disjoint")
-        union |= m
-    if union != full:
-        raise ValueError("parts do not cover the ambient set")
-    image = 0
-    for m in masks:
-        image |= endo.apply_mask(m)
-    return image == full
-
-
 def enumerate_endos(elements: tuple[str, ...], regime: str,
                     gate_override: bool = False) -> Iterator[AnyEndo]:
     """Stream every endomorphism in the given normal form.

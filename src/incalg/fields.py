@@ -7,11 +7,13 @@ No floating point is used anywhere: ``Field.scalar`` refuses floats.
 ``Scalar`` is the type at every API boundary, and its operators serve the
 code that is not hot. A ``LinearMap`` holds canonical values; its ``rows``
 box them on read. The hot kernels (``LinearMap.apply``, convolution,
-``FIElement.inverse``, ``matrix_rank``, the subset table and the pattern
+``FIElement.inverse``, ``LinearMap.rank``, the subset table and the pattern
 scans) accumulate a plain ``int`` (a ``Fraction`` over Q) and reduce it once
-by ``Field.canonical``, or by ``Field.reduce`` to a ``Scalar``. Operands are
-not checked per operation: ``Field.check_scalars`` checks field membership
-once, when an element or a map is constructed from scalars.
+by ``Field.canonical``, or by ``Field.reduce`` to a ``Scalar``.
+``Field.canonical`` is the one reduction rule of each field: the ``Scalar``
+operators reduce through it too, by ``Field.reduce``. Operands are not
+checked per operation: ``Field.check_scalars`` checks field membership once,
+when an element or a map is constructed from scalars.
 """
 
 from __future__ import annotations
@@ -247,27 +249,16 @@ class Scalar:
         return other.value
 
     def __add__(self, other: "Scalar") -> "Scalar":
-        v = self.value + self._coerce(other)
-        if isinstance(self.field, PrimeField):
-            v %= self.field.p
-        return Scalar(self.field, v)
+        return self.field.reduce(self.value + self._coerce(other))
 
     def __sub__(self, other: "Scalar") -> "Scalar":
-        v = self.value - self._coerce(other)
-        if isinstance(self.field, PrimeField):
-            v %= self.field.p
-        return Scalar(self.field, v)
+        return self.field.reduce(self.value - self._coerce(other))
 
     def __mul__(self, other: "Scalar") -> "Scalar":
-        v = self.value * self._coerce(other)
-        if isinstance(self.field, PrimeField):
-            v %= self.field.p
-        return Scalar(self.field, v)
+        return self.field.reduce(self.value * self._coerce(other))
 
     def __neg__(self) -> "Scalar":
-        if isinstance(self.field, PrimeField):
-            return Scalar(self.field, (-self.value) % self.field.p)
-        return Scalar(self.field, -self.value)
+        return self.field.reduce(-self.value)
 
     def inverse(self) -> "Scalar":
         if not self.value:

@@ -150,12 +150,6 @@ class LinearMap:
         return f"LinearMap({self.poset.display_name} over {self.field}, d={self.poset.dimension})"
 
 
-def matrix_rank(rows: Sequence[Sequence[Scalar]]) -> int:
-    """Exact rank of a matrix of scalars."""
-    field = next((c.field for row in rows for c in row), None)
-    return 0 if field is None else _rank_of_values(field, [[c.value for c in row] for row in rows])
-
-
 def _rank_of_values(field: Field, rows: Sequence[Sequence]) -> int:
     """Exact rank of a matrix of canonical values of ``field``, by forward
     elimination: only the pivots are inverted, as ``Scalar``s, and each

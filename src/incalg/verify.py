@@ -10,6 +10,12 @@ survivor is classified into its normal form, and the survivor count is
 cross-checked against the count predicted by the normal-form
 parametrization. The matrix space can be split into index ranges and
 partial censuses merged, so runs are resumable and deterministic.
+
+The exhaustive lemma suite walks the same survivors under the same gate,
+but neither classifies nor records them. Each law is derived once per
+instance: the subset table is extracted once and passed to the laws that
+read it, ``vf-maps-J-to-J`` reads the radical columns of the matrix, and
+the element-level laws run on coefficient tuples of canonical values.
 """
 
 from __future__ import annotations
@@ -339,33 +345,38 @@ def _set_partitions(n: int) -> Iterator[list[int]]:
     yield from rec(0, [])
 
 
-def _sample_elements(poset: Poset, field: PrimeField, cap: int = 4096,
-                     trials: int = 200, seed: int = 0) -> list[FIElement]:
-    """All q^d elements when that is small, else a seeded sample."""
-    d = poset.dimension
-    if field.p ** d <= cap:
-        return [FIElement(poset, field, vals)
-                for vals in product(field.elements(), repeat=d)]
+def _sample_values(poset: Poset, field: PrimeField, cap: int = 4096,
+                   trials: int = 200, seed: int = 0) -> list[tuple[int, ...]]:
+    """The coefficient tuples of all q^d elements when that is small, else of
+    a seeded sample, as canonical values."""
+    d, p = poset.dimension, field.p
+    if p ** d <= cap:
+        return list(product(range(p), repeat=d))
     rng = random.Random(seed)
-    return [
-        FIElement.from_vector(poset, field,
-                              [rng.randrange(field.p) for _ in range(d)])
-        for _ in range(trials)
-    ]
+    return [tuple(rng.randrange(p) for _ in range(d)) for _ in range(trials)]
 
 
 def _lemma_checks(phi: LinearMap, table: SubsetMapTable,
-                  sample: list[FIElement]) -> dict[str, str | None]:
-    """Each applicable law checked literally; values are failure witnesses."""
+                  sample: list[tuple]) -> dict[str, str | None]:
+    """Each applicable law checked literally; values are failure witnesses.
+
+    ``table`` is the subset table already extracted from ``phi`` and
+    ``sample`` holds coefficient tuples of canonical values; an element is
+    built only to format a witness.
+    """
     poset, field = phi.poset, phi.field
     n = poset.n
+    rows = phi.values[:n]
     out: dict[str, str | None] = {}
 
-    # radical maps into the radical
+    def alpha(vals) -> str:
+        return f"alpha = {format_element(FIElement.from_vector(poset, field, vals))}"
+
+    # radical maps into the radical: column j of the diagonal-output rows is
+    # the image diagonal of the basis element of strict pair j
     witness = None
-    for x, y in poset.strict_pairs:
-        image = phi.apply(basis_element(poset, field, x, y))
-        if any(image.coeffs[:n]):
+    for j, (x, y) in enumerate(poset.strict_pairs, start=n):
+        if any(row[j] for row in rows):
             witness = f"phi(e[{x},{y}]) has a nonzero diagonal"
             break
     out["vf-maps-J-to-J"] = witness
@@ -373,28 +384,23 @@ def _lemma_checks(phi: LinearMap, table: SubsetMapTable,
     # the image diagonal only depends on the input diagonal; phi(a)_D is read
     # off the diagonal-output rows over all d columns, never the block alone
     canonical = field.canonical
-    rows = phi.values[:n]
 
     def image_diagonal(vals) -> list:
         support = [(j, v) for j, v in enumerate(vals) if v]
         return [canonical(sum([row[j] * v for j, v in support if row[j]]))
                 for row in rows]
 
-    values = [[c.value for c in a.coeffs] for a in sample]
-    image_diagonals = [image_diagonal(vals) for vals in values]
+    image_diagonals = [image_diagonal(vals) for vals in sample]
     witness = None
-    for a, vals, image in zip(sample, values, image_diagonals):
+    for vals, image in zip(sample, image_diagonals):
         if image != image_diagonal(vals[:n]):  # a_D, its zero padding left out
-            witness = f"alpha = {format_element(a)}"
+            witness = alpha(vals)
             break
     out["vf(f)_D-is-vf(f_D)_D"] = witness
 
-    # diagonal images of subset idempotents are subset idempotents
-    try:
-        extract_subset_map(phi)
-        out["from-vf-to-lb"] = None
-    except ClassificationError as exc:
-        out["from-vf-to-lb"] = exc.witness or str(exc)
+    # diagonal images of subset idempotents are subset idempotents: ``table``
+    # is that extraction, and it succeeded
+    out["from-vf-to-lb"] = None
 
     if field.cardinality != 2:
         out["lb-separating"] = (
@@ -422,7 +428,7 @@ def _lemma_checks(phi: LinearMap, table: SubsetMapTable,
     if field.cardinality != 2:
         # the image diagonal is the level-set decomposition pushed through
         witness = None
-        for a, vals, image in zip(sample, values, image_diagonals):
+        for vals, image in zip(sample, image_diagonals):
             level_masks = [0] * field.p
             for i in range(n):
                 level_masks[vals[i]] |= 1 << i
@@ -433,7 +439,7 @@ def _lemma_checks(phi: LinearMap, table: SubsetMapTable,
                     if image_mask >> y & 1:
                         expected[y] += k
             if image != [canonical(v) for v in expected]:
-                witness = f"alpha = {format_element(a)}"
+                witness = alpha(vals)
                 break
         out["vf(f)_D=sum-k-e_lb(L_k)"] = witness
     else:
@@ -462,40 +468,42 @@ def verify_lemma_suite(poset: Poset, field: PrimeField,
     """Check every applicable structural law on every enumerated (or sampled)
     unital invertibility preserver.
 
-    ``exhaustive`` runs the census; ``randomized`` draws ``trials`` normal
-    forms with the given seed, verifies each against the brute-force
-    preserver oracle, and then checks the laws. Element-level laws scan all
-    q^d elements when feasible and a seeded sample otherwise.
+    ``exhaustive`` walks the census survivors (the same gate, the same
+    ``map #<index>`` labels) without classifying or recording them;
+    ``randomized`` draws ``trials`` normal forms with the given seed,
+    verifies each against the brute-force preserver oracle, and then checks
+    the laws. Each instance's subset table is extracted once, and a failed
+    extraction raises. Element-level laws scan all q^d elements when feasible
+    and a seeded sample otherwise.
     """
     if not isinstance(field, PrimeField):
         raise InfiniteFieldError("the lemma suite enumerates field elements; "
                                  "use a prime field")
-    elements_sample = _sample_elements(poset, field, seed=seed)
-    verdicts = []
+    if sample == "randomized" and trials < 1:
+        raise IncalgError(f"the randomized lemma suite needs at least one trial, "
+                          f"got {trials}")
+    values = _sample_values(poset, field, seed=seed)
+    where = f"on {poset.display_name} over {format_field(field)}"
     if sample == "exhaustive":
-        census = enumerate_preservers(poset, field, gate_override=gate_override)
-        instances = [
-            (f"map #{rec.index} on {poset.display_name} over {format_field(field)}",
-             LinearMap._of_values(poset, field, rec.matrix))
-            for rec in census.records
-        ]
+        space = _census_gate(poset, field, gate_override)
+        instances = (
+            (f"map #{index} {where}", LinearMap._of_values(poset, field, rows))
+            for index, rows in _iter_preserver_matrices(poset, field, 0, space))
     elif sample == "randomized":
         rng = random.Random(seed)
         instances = []
         for k in range(trials):
-            spec = random_preserver_spec(poset, field, rng)
-            phi = build_preserver(spec)
+            phi = build_preserver(random_preserver_spec(poset, field, rng))
             if not (phi.is_unital() and preserves_invertibility(phi, gate_override=gate_override)):
                 raise AssertionError(
                     "constructed normal form failed the preserver oracle")
-            instances.append(
-                (f"random spec #{k} (seed {seed}) on {poset.display_name} "
-                 f"over {format_field(field)}", phi))
+            instances.append((f"random spec #{k} (seed {seed}) {where}", phi))
     else:
         raise ValueError(f"unknown sample mode {sample!r}")
+    verdicts = []
     for instance, phi in instances:
         table = extract_subset_map(phi)
-        for lemma, witness in _lemma_checks(phi, table, elements_sample).items():
+        for lemma, witness in _lemma_checks(phi, table, values).items():
             verdicts.append(LemmaVerdict(lemma, instance, witness is None, witness))
     return verdicts
 
@@ -801,11 +809,16 @@ def analyze_map(phi: LinearMap, gate_override: bool = False) -> dict:
                 f"{format_element(phi.apply(bad))}")
         if verdicts["preserver"] and verdicts["unital"]:
             spec = classify(phi, gate_override=gate_override, assume_preserver=True)
-            counter = find_strongness_counterexample(phi, gate_override=gate_override)
-            verdicts["strong"] = counter is None
-            if counter is not None:
-                report["witnesses"]["strong"] = (
-                    f"non-unit {format_element(counter)} maps to a unit")
+            try:
+                counter = find_strongness_counterexample(phi, gate_override=gate_override)
+            except GateError as exc:
+                verdicts["strong"] = None
+                report["witnesses"]["strong"] = f"undecided: {exc}"
+            else:
+                verdicts["strong"] = counter is None
+                if counter is not None:
+                    report["witnesses"]["strong"] = (
+                        f"non-unit {format_element(counter)} maps to a unit")
         else:
             verdicts["strong"] = None
         if verdicts["preserver"]:

@@ -176,11 +176,23 @@ def boxed_inverse(a):
 
 
 def boxed_lemma_checks(phi, table, sample):
-    """``_lemma_checks`` with its two element-level laws computed by the
-    earlier loops; the other laws are the library's, in the library's order."""
+    """``_lemma_checks`` with ``vf-maps-J-to-J`` and its two element-level
+    laws computed by the earlier loops, which apply the map to elements; the
+    other laws are the library's, in the library's order. ``sample`` holds
+    coefficient tuples, as for ``_lemma_checks``."""
     poset, field = phi.poset, phi.field
     n = poset.n
     out = _lemma_checks(phi, table, sample)
+    sample = [FIElement.from_vector(poset, field, vals) for vals in sample]
+
+    # radical maps into the radical
+    witness = None
+    for x, y in poset.strict_pairs:
+        image = boxed_apply(phi, basis_element(poset, field, x, y))
+        if any(image.coeffs[:n]):
+            witness = f"phi(e[{x},{y}]) has a nonzero diagonal"
+            break
+    out["vf-maps-J-to-J"] = witness
 
     # the image diagonal only depends on the input diagonal
     witness = None

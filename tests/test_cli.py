@@ -138,6 +138,33 @@ def test_lemmas_randomized(capsys):
     assert "random spec" in out
 
 
+def test_lemmas_randomized_without_trials_exits_two(capsys):
+    for trials in ("0", "-3"):
+        code = main(["lemmas", "--poset", "chain:2", "--field", "Fp", "3",
+                     "--sample", "randomized", "--trials", trials])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == (f"error: the randomized lemma suite needs at least "
+                                f"one trial, got {trials}\n")
+
+
+def test_check_exits_zero_when_only_strongness_is_gated(tmp_path, capsys, monkeypatch):
+    from incalg import preservers
+
+    # the preserver scan visits 10^3 patterns, within the lowered cap; the
+    # strongness scan would visit 11^3
+    monkeypatch.setattr(preservers, "SCAN_CAP", 1000)
+    map_path = tmp_path / "map.txt"
+    map_path.write_text("map\nfield: Fp 11\nposet: antichain:3\n1 0 0\n0 1 0\n0 0 1\n")
+    code, out = run(capsys, "check", "--map", str(map_path))
+    assert code == 0
+    assert "  strong: undecided\n    witness: undecided: is_strong would scan 1331" in out
+    code, out = run(capsys, "check", "--map", str(map_path), "--json")
+    assert code == 0
+    assert json.loads(out)["verdicts"]["strong"] is None
+
+
 def test_criteria_verb(tmp_path, capsys):
     spec_path = tmp_path / "spec.txt"
     spec_path.write_text(SWAP_SPEC)

@@ -10,7 +10,6 @@ from incalg import (
     PartitionEndo,
     SubsetMapTable,
     XorEndo,
-    check_partition_preservation,
     enumerate_endos,
     format_endo,
     is_boolean_endo,
@@ -19,6 +18,7 @@ from incalg import (
     to_partition,
     to_xor_endo,
 )
+from incalg.endos import mask_of
 
 from conftest import random_partition_endo, random_xor_endo
 
@@ -170,6 +170,24 @@ def test_automorphism_iff_table_bijective():
                 singleton_blocks = all(bin(b).count("1") == 1 for b in endo.blocks)
                 assert (endo.automorphism() is not None) == (
                     endo.is_injective() and singleton_blocks)
+
+
+def check_partition_preservation(endo, parts) -> bool:
+    """True iff the images of the parts of a partition of X still cover X."""
+    elements = endo.elements
+    full = (1 << len(elements)) - 1
+    masks = [mask_of(elements, part) for part in parts]
+    union = 0
+    for m in masks:
+        if union & m:
+            raise ValueError("parts are not pairwise disjoint")
+        union |= m
+    if union != full:
+        raise ValueError("parts do not cover the ambient set")
+    image = 0
+    for m in masks:
+        image |= endo.apply_mask(m)
+    return image == full
 
 
 def test_partition_preservation():

@@ -1,8 +1,9 @@
 """Differential tests of the value-coded kernels (``LinearMap.apply``,
-convolution, ``FIElement.inverse``, ``matrix_rank``, ``extract_subset_map``,
-``to_xor_endo``, the two diagonal-pattern scans, the element-level lemma
-laws, and the row-sum checks of ``is_unital`` and ``PreserverSpec``) against
-the boxed-``Scalar`` reference in ``boxed_reference.py``."""
+convolution, ``FIElement.inverse``, the rank routine ``_rank_of_values``,
+``extract_subset_map``, ``to_xor_endo``, the two diagonal-pattern scans, the
+lemma laws read off the matrix and the sample's coefficient tuples, and the
+row-sum checks of ``is_unital`` and ``PreserverSpec``) against the
+boxed-``Scalar`` reference in ``boxed_reference.py``."""
 
 import random
 from fractions import Fraction
@@ -26,11 +27,11 @@ from incalg import (
     to_xor_endo,
 )
 from incalg.preservers import (
+    _rank_of_values,
     find_nonpreserved_unit,
     find_strongness_counterexample,
-    matrix_rank,
 )
-from incalg.verify import _lemma_checks, _psi_radical_block_invertible, _sample_elements
+from incalg.verify import _lemma_checks, _psi_radical_block_invertible, _sample_values
 
 from boxed_reference import (
     boxed_apply,
@@ -151,10 +152,10 @@ def mismatch(fn, *args):
 
 
 def lemma_instance(poset, field, rng: random.Random):
-    """A random preserver's subset table, a small seeded element sample, and
-    the preserver with its perturbed copies."""
+    """A random preserver's subset table, the coefficient tuples of a small
+    seeded element sample, and the preserver with its perturbed copies."""
     phi = build_preserver(random_preserver_spec(poset, field, rng))
-    sample = _sample_elements(poset, field, cap=256, trials=40, seed=rng.randrange(1000))
+    sample = _sample_values(poset, field, cap=256, trials=40, seed=rng.randrange(1000))
     return extract_subset_map(phi), sample, perturbed_maps(phi, rng)
 
 
@@ -321,6 +322,24 @@ def test_lemma_instances_fail_both_element_laws():
     assert failed == {"vf(f)_D-is-vf(f_D)_D", "vf(f)_D=sum-k-e_lb(L_k)"}
 
 
+def test_lemma_instances_fail_j_to_j():
+    """A perturbed radical column of a diagonal-output row fails
+    ``vf-maps-J-to-J``, with the witness of the boxed loop over basis
+    elements."""
+    rng = random.Random(1)
+    witnesses = []
+    for field in (F2, F3):
+        for poset in POSET_POOL:
+            table, sample, maps = lemma_instance(poset, field, rng)
+            for phi in maps:
+                out = _lemma_checks(phi, table, sample)
+                assert out["vf-maps-J-to-J"] == boxed_lemma_checks(
+                    phi, table, sample)["vf-maps-J-to-J"]
+                witnesses.append(out["vf-maps-J-to-J"])
+    assert None in witnesses
+    assert any(w is not None for w in witnesses)
+
+
 @given(st.sampled_from(RING_FIELDS), st.integers(0, 6), st.integers(0, 6),
        st.sampled_from(["random", "low-rank", "repeated", "zero"]),
        st.integers(0, 2**32 - 1))
@@ -346,13 +365,14 @@ def test_matrix_rank_matches_boxed_reference(field, height, width, shape, seed):
         rows.insert(rng.randrange(height + 1), [c * v for v in rng.choice(rows)])
     elif shape == "zero":
         rows.insert(rng.randrange(height + 1), [field.zero] * width)
-    assert matrix_rank(rows) == boxed_matrix_rank(rows)
+    values = [[c.value for c in row] for row in rows]
+    assert _rank_of_values(field, values) == boxed_matrix_rank(rows)
 
 
 def test_matrix_rank_of_an_empty_matrix():
     """The empty matrix has rank 0; an antichain has no radical coordinates,
     so its psi block is the empty 0 x 0 matrix, which counts as invertible."""
-    assert matrix_rank([]) == boxed_matrix_rank([]) == 0
+    assert _rank_of_values(F3, []) == boxed_matrix_rank([]) == 0
     antichain = builtin_poset("antichain:3")
     rng = random.Random(0)
     for field in (F2, F3, Q):

@@ -10,6 +10,7 @@ from incalg import (
     ClassificationError,
     FIElement,
     GateError,
+    IncalgError,
     InfiniteFieldError,
     LinearMap,
     PartitionEndo,
@@ -272,6 +273,57 @@ def test_lemma_suite_randomized_on_wider_posets():
         assert verdicts and all(v.passed for v in verdicts)
 
 
+def test_lemma_suite_exhaustive_reads_each_survivor_once(monkeypatch):
+    """The exhaustive suite walks the census survivors without classifying,
+    recording, ranking or applying them, and extracts each subset table
+    once."""
+    from incalg import preservers, verify
+
+    def refuse(name):
+        def refused(*args, **kwargs):
+            raise AssertionError(f"{name} called")
+        return refused
+
+    for module, name in ((verify, "enumerate_preservers"), (verify, "classify"),
+                         (verify, "is_strong"), (preservers, "is_strong"),
+                         (verify, "find_nonpreserved_unit"),
+                         (preservers, "find_nonpreserved_unit")):
+        monkeypatch.setattr(module, name, refuse(name))
+    monkeypatch.setattr(LinearMap, "rank", refuse("LinearMap.rank"))
+    monkeypatch.setattr(LinearMap, "apply", refuse("LinearMap.apply"))
+    extracted = []
+    extract = preservers.extract_subset_map
+
+    def counting(phi):
+        extracted.append(phi)
+        return extract(phi)
+
+    monkeypatch.setattr(verify, "extract_subset_map", counting)
+    verdicts = verify_lemma_suite(CHAIN2, F3)
+    assert len(verdicts) == 36 * 7 and all(v.passed for v in verdicts)
+    assert len(extracted) == 36
+    assert len({v.instance for v in verdicts}) == 36
+
+
+@pytest.mark.parametrize("poset,field", [(CHAIN2, F2), (CHAIN2, F3), (ANTI3, F3)])
+def test_lemma_suite_instances_are_the_census_survivors(poset, field):
+    verdicts = verify_lemma_suite(poset, field)
+    indices = []
+    for v in verdicts:
+        index = int(v.instance.split()[1].lstrip("#"))
+        if not indices or indices[-1] != index:
+            indices.append(index)
+    assert indices == [r.index for r in enumerate_preservers(poset, field).records]
+
+
+@pytest.mark.parametrize("trials", [0, -1])
+def test_lemma_suite_randomized_needs_a_trial(trials):
+    with pytest.raises(IncalgError, match="at least one trial"):
+        verify_lemma_suite(CHAIN2, F3, sample="randomized", trials=trials)
+    # the exhaustive suite ignores the trial count
+    assert verify_lemma_suite(CHAIN2, F2, trials=trials)
+
+
 def test_criteria_identity_spec():
     spec = PreserverSpec(CHAIN2, F3, PartitionEndo(CHAIN2.elements, (0b01, 0b10)),
                          radical_projection(CHAIN2, F3))
@@ -402,6 +454,23 @@ def test_analyze_map_over_rationals_scans_jordan_once(monkeypatch):
         assert verdicts["inverse_preserving"] is verdicts["jordan"]
         jordan.add(verdicts["jordan"])
     assert jordan == {True, False}
+
+
+def test_analyze_map_leaves_gated_strongness_undecided(monkeypatch):
+    """A strongness scan over its gate leaves that verdict undecided, as the
+    inverse scan does, and the map is still reported as a preserver."""
+    from incalg import preservers
+
+    # (q - 1)^n = 1000 patterns for the preserver scan, within the cap, but
+    # q^n = 1331 for the strongness scan
+    monkeypatch.setattr(preservers, "SCAN_CAP", 1000)
+    report = analyze_map(LinearMap.identity(ANTI3, PrimeField(11)))
+    verdicts = report["verdicts"]
+    assert verdicts["unital"] is True and verdicts["preserver"] is True
+    assert verdicts["strong"] is None
+    assert report["witnesses"]["strong"] == "undecided: is_strong would scan 1331 cases (cap 1000)"
+    assert verdicts["inverse_preserving"] is True
+    assert report["lambda"]["kind"] == "partition"
 
 
 def test_analyze_map_non_unital_inverse_preserver():
