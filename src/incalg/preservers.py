@@ -131,9 +131,13 @@ class LinearMap:
         return self.rank() == self.poset.dimension
 
     def scale(self, k: Scalar) -> "LinearMap":
-        k = self.field.scalar(k)
-        return LinearMap(self.poset, self.field,
-                         [[k * c for c in row] for row in self.rows])
+        """k times the map; ``k`` is an int, a ``Fraction`` or a scalar of
+        the map's field."""
+        k = self.field.scalar(k).value
+        canonical = self.field.canonical
+        return LinearMap._of_values(
+            self.poset, self.field,
+            tuple(tuple(canonical(k * v) for v in row) for row in self.values))
 
     def __eq__(self, other) -> bool:
         return (
@@ -242,7 +246,7 @@ def _diagonal_element(poset: Poset, field: Field, diagonal) -> FIElement:
         poset, field, {(x, x): v for x, v in zip(poset.elements, diagonal)})
 
 
-def extract_subset_map(phi: LinearMap) -> SubsetMapTable:
+def extract_subset_map(phi: LinearMap, gate_override: bool = False) -> SubsetMapTable:
     """Extract the subset map A -> {x : phi(e_A)_xx = 1}.
 
     Every diagonal value of phi(e_A) must be 0 or 1; a value outside {0, 1}
@@ -251,13 +255,14 @@ def extract_subset_map(phi: LinearMap) -> SubsetMapTable:
     columns of A, so the sums are built by doubling: the sums for the
     subsets of columns 0..k+1 are those for columns 0..k, then the same
     sums plus column k+1. Each doubling adds the next masks in ascending
-    order, and they are checked as they are added.
+    order, and they are checked as they are added. ``gate_override`` lifts
+    the |X| <= SUBSET_TABLE_CAP gate.
     """
     from .endos import SUBSET_TABLE_CAP
 
     poset, field = phi.poset, phi.field
     n = poset.n
-    if n > SUBSET_TABLE_CAP:
+    if n > SUBSET_TABLE_CAP and not gate_override:
         raise GateError(
             f"subset-map extraction needs 2^{n} images; cap is |X| <= {SUBSET_TABLE_CAP}",
             size=1 << n)
@@ -284,7 +289,7 @@ def extract_subset_map(phi: LinearMap) -> SubsetMapTable:
                         witness=f"A = {{{subset}}}")
             table.append(out)
         sums += added
-    return SubsetMapTable(elements, tuple(table))
+    return SubsetMapTable(elements, tuple(table), gate_override=gate_override)
 
 
 def extract_radical_map(phi: LinearMap) -> LinearMap:
@@ -398,15 +403,39 @@ def preserves_inverses(phi: LinearMap, gate_override: bool = False) -> bool:
 
 
 def find_jordan_counterexample(phi: LinearMap) -> tuple[FIElement, FIElement] | None:
-    """A basis pair (a, b) with phi(ab + ba) != phi(a)phi(b) + phi(b)phi(a);
-    bilinearity makes the basis-pair check sufficient."""
+    """The first basis pair (a, b), in row-major order, with
+    phi(ab + ba) != phi(a)phi(b) + phi(b)phi(a); bilinearity makes the
+    basis-pair check sufficient.
+
+    Both sides are symmetric in (a, b), so the first failing pair has a at
+    or before b, and only those pairs are scanned. The left side needs no
+    product: for a = e_xy and b = e_zw, ab + ba = [y = z] e_xw + [w = x] e_zy,
+    so phi(ab + ba) is the sum of at most two columns of the matrix. The
+    right side is the Jordan product of the images, each boxed from its
+    column on first use.
+    """
     poset, field = phi.poset, phi.field
-    basis = [basis_element(poset, field, x, y) for x, y in poset.basis_pairs]
-    images = [phi.apply(b) for b in basis]
-    for i, a in enumerate(basis):
-        for j, b in enumerate(basis):
-            if phi.apply(jordan_product(a, b)) != jordan_product(images[i], images[j]):
-                return a, b
+    pairs, index = poset.basis_pairs, poset.pair_index
+    canonical = field.canonical
+    columns = list(zip(*phi.values))
+    zero = (0,) * len(pairs)
+    images: dict[int, FIElement] = {}
+
+    def image(k: int) -> FIElement:
+        if k not in images:
+            images[k] = FIElement(poset, field, [Scalar(field, v) for v in columns[k]])
+        return images[k]
+
+    for i, (x, y) in enumerate(pairs):
+        for j in range(i, len(pairs)):
+            z, w = pairs[j]
+            lhs = columns[index[(x, w)]] if y == z else zero
+            if w == x:
+                lhs = tuple(canonical(u + v) for u, v in zip(lhs, columns[index[(z, y)]]))
+            rhs = jordan_product(image(i), image(j))
+            if lhs != tuple(c.value for c in rhs.coeffs):
+                return (basis_element(poset, field, x, y),
+                        basis_element(poset, field, z, w))
     return None
 
 

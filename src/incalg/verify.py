@@ -175,9 +175,9 @@ def classify(phi: LinearMap, gate_override: bool = False,
                 f"unit {format_element(bad)} maps to the non-unit "
                 f"{format_element(phi.apply(bad))}",
                 witness=format_element(bad))
-    table = extract_subset_map(phi)
+    table = extract_subset_map(phi, gate_override=gate_override)
     if phi.field.cardinality == 2:
-        endo: PartitionEndo | XorEndo = to_xor_endo(table)
+        endo: PartitionEndo | XorEndo = to_xor_endo(table, gate_override=gate_override)
     else:
         if not is_separating(table, gate_override=gate_override):
             raise ClassificationError(
@@ -356,8 +356,8 @@ def _sample_values(poset: Poset, field: PrimeField, cap: int = 4096,
     return [tuple(rng.randrange(p) for _ in range(d)) for _ in range(trials)]
 
 
-def _lemma_checks(phi: LinearMap, table: SubsetMapTable,
-                  sample: list[tuple]) -> dict[str, str | None]:
+def _lemma_checks(phi: LinearMap, table: SubsetMapTable, sample: list[tuple],
+                  gate_override: bool = False) -> dict[str, str | None]:
     """Each applicable law checked literally; values are failure witnesses.
 
     ``table`` is the subset table already extracted from ``phi`` and
@@ -404,9 +404,11 @@ def _lemma_checks(phi: LinearMap, table: SubsetMapTable,
 
     if field.cardinality != 2:
         out["lb-separating"] = (
-            None if is_separating(table) else "disjoint subsets with meeting images")
+            None if is_separating(table, gate_override=gate_override)
+            else "disjoint subsets with meeting images")
         out["lb-preserves-diff-and-cap"] = (
-            None if is_boolean_endo(table) else "not a Boolean algebra endomorphism")
+            None if is_boolean_endo(table, gate_override=gate_override)
+            else "not a Boolean algebra endomorphism")
 
     # partitions of X (of cardinality <= |K|) keep covering X after the map
     witness = None
@@ -502,8 +504,9 @@ def verify_lemma_suite(poset: Poset, field: PrimeField,
         raise ValueError(f"unknown sample mode {sample!r}")
     verdicts = []
     for instance, phi in instances:
-        table = extract_subset_map(phi)
-        for lemma, witness in _lemma_checks(phi, table, values).items():
+        table = extract_subset_map(phi, gate_override=gate_override)
+        checks = _lemma_checks(phi, table, values, gate_override=gate_override)
+        for lemma, witness in checks.items():
             verdicts.append(LemmaVerdict(lemma, instance, witness is None, witness))
     return verdicts
 

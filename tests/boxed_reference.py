@@ -12,12 +12,25 @@ operand, and every pattern of a scan is applied as a whole element.
 ``XorEndo.apply_mask``. :func:`boxed_is_unital`, :func:`boxed_spec_checks`
 and stage (i) of :func:`boxed_find_nonpreserved_unit` apply the map to
 delta, where the library reads row sums off the map's values.
+:func:`boxed_scale` multiplies boxed entries and rebuilds a checked map.
+:func:`boxed_find_jordan_counterexample` scans every ordered basis pair and
+applies the map to each Jordan product, with products through
+:func:`boxed_convolve`; :func:`boxed_is_separating` and
+:func:`boxed_is_boolean_endo` scan the subset pairs that the library's
+O(n 2^n) checks replace.
 """
 
 from itertools import product
 
 from incalg.algebra import FIElement, basis_element, format_element, indicator
-from incalg.endos import SUBSET_TABLE_CAP, PartitionEndo, SubsetMapTable, XorEndo, labels_of
+from incalg.endos import (
+    SUBSET_TABLE_CAP,
+    PartitionEndo,
+    SubsetMapTable,
+    XorEndo,
+    _predicate_gate,
+    labels_of,
+)
 from incalg.errors import (
     ClassificationError,
     FieldMismatchError,
@@ -25,7 +38,7 @@ from incalg.errors import (
     MismatchError,
     NotAUnitError,
 )
-from incalg.preservers import PRESERVER_CAP_X, _gate, _require_prime
+from incalg.preservers import PRESERVER_CAP_X, LinearMap, _gate, _require_prime
 from incalg.verify import _lemma_checks
 
 
@@ -265,3 +278,55 @@ def boxed_to_xor_endo(table):
                 "table is not additive over symmetric difference",
                 witness=f"A = {{{', '.join(sorted(labels_of(table.elements, m)))}}}")
     return endo
+
+
+def boxed_scale(phi, k):
+    k = phi.field.scalar(k)
+    return LinearMap(phi.poset, phi.field, [[k * c for c in row] for row in phi.rows])
+
+
+def _boxed_jordan_product(a, b):
+    return boxed_convolve(a, b) + boxed_convolve(b, a)
+
+
+def boxed_find_jordan_counterexample(phi):
+    poset, field = phi.poset, phi.field
+    basis = [basis_element(poset, field, x, y) for x, y in poset.basis_pairs]
+    images = [boxed_apply(phi, b) for b in basis]
+    for i, a in enumerate(basis):
+        for j, b in enumerate(basis):
+            if (boxed_apply(phi, _boxed_jordan_product(a, b))
+                    != _boxed_jordan_product(images[i], images[j])):
+                return a, b
+    return None
+
+
+def boxed_is_separating(table, gate_override=False):
+    _predicate_gate(table, "is_separating", gate_override)
+    full = (1 << table.n) - 1
+    for a in range(full + 1):
+        rest = full & ~a
+        b = rest
+        while True:
+            if table.table[a] & table.table[b]:
+                return False
+            if b == 0:
+                break
+            b = (b - 1) & rest
+    return True
+
+
+def boxed_is_boolean_endo(table, gate_override=False):
+    _predicate_gate(table, "is_boolean_endo", gate_override)
+    full = (1 << table.n) - 1
+    t = table.table
+    if t[full] != full:
+        return False
+    for a in range(full + 1):
+        if t[full & ~a] != full & ~t[a]:
+            return False
+    for a in range(full + 1):
+        for b in range(full + 1):
+            if t[a & b] != t[a] & t[b]:
+                return False
+    return True

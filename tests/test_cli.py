@@ -277,3 +277,31 @@ def test_poset_file_argument(tmp_path, capsys):
     code, out = run(capsys, "census", "--poset", str(poset_path), "--field", "Fp", "2")
     assert code == 0
     assert "oracle_count:  16" in out
+
+
+def test_classify_gate_override_lifts_the_subset_table_cap(tmp_path, capsys):
+    rows = "\n".join(" ".join("1" if i == j else "0" for j in range(13)) for i in range(13))
+    map_path = tmp_path / "map.txt"
+    map_path.write_text(f"map\nfield: Q\nposet: antichain:13\n{rows}\n")
+    code = main(["classify", "--map", str(map_path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == ("error: subset-map extraction needs 2^13 images; "
+                            "cap is |X| <= 12\n")
+    code, out = run(capsys, "classify", "--map", str(map_path), "--gate-override")
+    assert code == 0
+    assert "unital invertibility preserver" in out
+    assert "lambda: " + " ".join(f"{i}->{{{i}}}" for i in range(1, 14)) in out
+
+
+def test_randomized_lemmas_gate_override_reaches_the_table_laws(capsys):
+    argv = ["lemmas", "--poset", "antichain:9", "--field", "Fp", "3",
+            "--sample", "randomized", "--trials", "2", "--seed", "1"]
+    code = main(argv)
+    assert code == 2
+    assert capsys.readouterr().err == "error: preserves_invertibility capped at |X| <= 6\n"
+    code, out = run(capsys, *argv, "--gate-override")
+    assert code == 0
+    assert "PASS  lb-separating  --  random spec #1" in out
+    assert "PASS  lb-preserves-diff-and-cap  --  random spec #1" in out
+    assert "14 verdicts, 0 failed" in out

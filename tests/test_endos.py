@@ -20,6 +20,7 @@ from incalg import (
 )
 from incalg.endos import mask_of
 
+from boxed_reference import boxed_is_boolean_endo, boxed_is_separating
 from conftest import random_partition_endo, random_xor_endo
 
 XY = ("1", "2")
@@ -294,3 +295,54 @@ def test_endo_line_round_trip():
     assert parse_endo_line(pline, XY) == COLLAPSE_2
     with pytest.raises(Exception, match="misses"):
         parse_endo_line("lambda: 1->{1,2}", XY)
+
+
+TABLE_KINDS = ["partition", "xor", "flipped", "shrunk", "random"]
+
+
+def random_table(n: int, kind: str, rng: random.Random) -> SubsetMapTable:
+    """A partition or XOR table, one with a few entries' bits flipped or
+    cleared, or a random table."""
+    elements = tuple(f"x{i}" for i in range(n))
+    if kind == "random" or n == 0:
+        return SubsetMapTable(elements, tuple(rng.randrange(1 << n) for _ in masks(n)))
+    endo = (random_xor_endo(elements, rng) if kind == "xor" or rng.random() < 0.3
+            else random_partition_endo(elements, rng))
+    images = list(endo.table().table)
+    for _ in range(rng.randint(1, 3) if kind in ("flipped", "shrunk") else 0):
+        m = rng.randrange(1 << n)
+        if kind == "flipped":
+            images[m] ^= 1 << rng.randrange(n)
+        else:
+            images[m] &= rng.randrange(1 << n)
+    return SubsetMapTable(elements, tuple(images))
+
+
+def test_table_laws_match_boxed_reference_on_every_small_table():
+    """All 1 + 4 + 256 tables with n <= 2."""
+    for n in range(3):
+        elements = tuple(f"x{i}" for i in range(n))
+        for images in product(masks(n), repeat=1 << n):
+            table = SubsetMapTable(elements, images)
+            assert is_separating(table) == boxed_is_separating(table)
+            assert is_boolean_endo(table) == boxed_is_boolean_endo(table)
+
+
+@given(st.integers(0, 7), st.sampled_from(TABLE_KINDS), st.integers(0, 2**32 - 1))
+def test_table_laws_match_boxed_reference(n, kind, seed):
+    table = random_table(n, kind, random.Random(seed))
+    assert is_separating(table) == boxed_is_separating(table)
+    assert is_boolean_endo(table) == boxed_is_boolean_endo(table)
+
+
+def test_table_kinds_reach_every_verdict():
+    rng = random.Random(0)
+    seen = set()
+    for n in range(1, 8):
+        for kind in TABLE_KINDS:
+            for _ in range(10):
+                table = random_table(n, kind, rng)
+                seen.add((kind, is_separating(table), is_boolean_endo(table)))
+    assert {("partition", True, True), ("xor", False, False), ("flipped", False, False),
+            ("shrunk", True, False), ("random", False, False)} <= seen
+    assert all(separating for _, separating, boolean in seen if boolean)

@@ -1,11 +1,14 @@
 """Differential tests of the value-coded kernels (``LinearMap.apply``,
-convolution, ``FIElement.inverse``, the rank routine ``_rank_of_values``,
-``extract_subset_map``, ``to_xor_endo``, the two diagonal-pattern scans, the
+``LinearMap.scale``, convolution, ``FIElement.inverse``, the rank routine
+``_rank_of_values``, ``extract_subset_map``, ``to_xor_endo``, the two
+diagonal-pattern scans, the Jordan scan read off the matrix columns, the
 lemma laws read off the matrix and the sample's coefficient tuples, and the
 row-sum checks of ``is_unital`` and ``PreserverSpec``) against the
 boxed-``Scalar`` reference in ``boxed_reference.py``."""
 
+import functools
 import random
+from itertools import permutations
 from fractions import Fraction
 
 import pytest
@@ -13,6 +16,7 @@ from hypothesis import given, strategies as st
 
 from incalg import (
     ClassificationError,
+    FieldMismatchError,
     FIElement,
     LinearMap,
     MismatchError,
@@ -26,8 +30,10 @@ from incalg import (
     random_preserver_spec,
     to_xor_endo,
 )
+from incalg.algebra import basis_element
 from incalg.preservers import (
     _rank_of_values,
+    find_jordan_counterexample,
     find_nonpreserved_unit,
     find_strongness_counterexample,
 )
@@ -37,12 +43,14 @@ from boxed_reference import (
     boxed_apply,
     boxed_convolve,
     boxed_extract_subset_map,
+    boxed_find_jordan_counterexample,
     boxed_find_nonpreserved_unit,
     boxed_find_strongness_counterexample,
     boxed_inverse,
     boxed_is_unital,
     boxed_lemma_checks,
     boxed_matrix_rank,
+    boxed_scale,
     boxed_spec_checks,
     boxed_to_xor_endo,
 )
@@ -393,3 +401,101 @@ def test_to_xor_endo_matches_boxed_reference(n, perturbed, seed):
         table[rng.randrange(1 << n)] ^= rng.randrange(1, 1 << n)
     table = SubsetMapTable(endo.elements, tuple(table))
     assert outcome(to_xor_endo, table) == outcome(boxed_to_xor_endo, table)
+
+
+@given(st.sampled_from(RING_FIELDS), st.integers(0, 2**32 - 1))
+def test_scale_matches_boxed_reference(field, seed):
+    """Same map, and the same error, for int, ``Fraction``, ``Scalar`` and
+    zero factors and a scalar of another field."""
+    rng = random.Random(seed)
+    poset = rng.choice(POSET_POOL)
+    phi = random_map(poset, field, rng.choice(MAP_KINDS), rng)
+    factors = [0, 1, -1, 7, _value(field, rng, zero_share=0), field.zero, field.one,
+               field.scalar(_value(field, rng, zero_share=0))]
+    for k in factors:
+        scaled = phi.scale(k)
+        assert scaled == boxed_scale(phi, k)
+        assert hash(scaled) == hash(boxed_scale(phi, k))
+    other = F3 if field == Q else Q
+    for scale in (phi.scale, functools.partial(boxed_scale, phi)):
+        with pytest.raises(FieldMismatchError):
+            scale(other.one)
+
+
+@functools.cache
+def poset_symmetries(poset) -> list[tuple[dict, bool]]:
+    """(relabelling, reverses the order) for every automorphism and every
+    anti-automorphism of the poset."""
+    elements = poset.elements
+    out = []
+    for image in permutations(elements):
+        s = dict(zip(elements, image))
+        for reverse in (False, True):
+            if all(poset.less_equal(x, y)
+                   == poset.less_equal(*((s[y], s[x]) if reverse else (s[x], s[y])))
+                   for x in elements for y in elements):
+                out.append((s, reverse))
+    return out
+
+
+def jordan_map(poset, field, rng: random.Random) -> LinearMap:
+    """a -> u s(a) u^-1, with s a random automorphism or anti-automorphism
+    of the poset and u a random unit: a Jordan automorphism."""
+    s, reverse = rng.choice(poset_symmetries(poset))
+    unit = random_unit(poset, field, rng)
+    inv = unit.inverse()
+    images = {}
+    for x, y in poset.basis_pairs:
+        pair = (s[y], s[x]) if reverse else (s[x], s[y])
+        images[(x, y)] = unit * basis_element(poset, field, *pair) * inv
+    return LinearMap.from_basis_images(poset, field, images)
+
+
+JORDAN_KINDS = ["preserver", "perturbed", "non-unital", "jordan", "jordan-changed"]
+
+
+def jordan_cases(poset, field, kind: str, rng: random.Random) -> list[LinearMap]:
+    """Preservers, their three perturbed copies, non-unital maps (a
+    preserver with a diagonal-block entry changed, and a sparse random
+    map), Jordan automorphisms, and Jordan automorphisms with one entry
+    changed."""
+    n, d = poset.n, poset.dimension
+    if kind == "jordan":
+        return [jordan_map(poset, field, rng)]
+    if kind == "jordan-changed":
+        return [changed_entry(jordan_map(poset, field, rng),
+                              rng.randrange(d), rng.randrange(d), rng)]
+    phi = random_map(poset, field, "preserver", rng)
+    if kind == "preserver":
+        return [phi]
+    if kind == "perturbed":
+        return perturbed_maps(phi, rng)[1:]
+    return [changed_entry(phi, rng.randrange(n), rng.randrange(n), rng),
+            random_map(poset, field, "sparse", rng)]
+
+
+@given(instances(RING_FIELDS), st.sampled_from(JORDAN_KINDS))
+def test_jordan_scan_matches_boxed_reference(instance, kind):
+    """The same first witness pair, or None."""
+    poset, field, _, rng = instance
+    for phi in jordan_cases(poset, field, kind, rng):
+        assert find_jordan_counterexample(phi) == boxed_find_jordan_counterexample(phi)
+
+
+def test_jordan_cases_reach_every_outcome():
+    """Jordan automorphisms pass; changed ones, perturbed preservers and
+    non-unital maps fail, some at a pair of distinct basis elements."""
+    rng = random.Random(0)
+    seen = set()
+    for field in RING_FIELDS:
+        for poset in POSET_POOL:
+            for kind in JORDAN_KINDS:
+                for phi in jordan_cases(poset, field, kind, rng):
+                    pair = find_jordan_counterexample(phi)
+                    seen.add((kind, pair is None))
+                    if pair is not None and pair[0] != pair[1]:
+                        seen.add("distinct pair")
+    assert {("jordan", True), ("jordan-changed", False), ("preserver", True),
+            ("preserver", False), ("perturbed", False), ("non-unital", False),
+            "distinct pair"} <= seen
+    assert ("jordan", False) not in seen

@@ -294,9 +294,9 @@ def test_lemma_suite_exhaustive_reads_each_survivor_once(monkeypatch):
     extracted = []
     extract = preservers.extract_subset_map
 
-    def counting(phi):
+    def counting(phi, **kwargs):
         extracted.append(phi)
-        return extract(phi)
+        return extract(phi, **kwargs)
 
     monkeypatch.setattr(verify, "extract_subset_map", counting)
     verdicts = verify_lemma_suite(CHAIN2, F3)
