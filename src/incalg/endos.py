@@ -18,7 +18,6 @@ from typing import Iterable, Iterator, Union
 from .errors import ClassificationError, GateError, MismatchError, ParseError
 
 SUBSET_TABLE_CAP = 12   # 2^n-entry tables
-PREDICATE_CAP = 8       # exhaustive pair scans over P(X) x P(X)
 ENUMERATION_CAP = 4     # |X|^|X| or 2^(|X|(|X|-1)) streams
 
 
@@ -191,12 +190,13 @@ AnyEndo = Union[PartitionEndo, XorEndo, SubsetMapTable]
 
 
 def _span_table(images: tuple[int, ...], combine) -> tuple[int, ...]:
-    """The image of every mask of a map that ``combine``s (OR or XOR) the
-    images of the singletons, by the lowest-bit recurrence
-    ``t[m] = combine(t[m & (m - 1)], images[lowbit(m)])``."""
-    t = [0] * (1 << len(images))
-    for m in range(1, len(t)):
-        t[m] = combine(t[m & (m - 1)], images[(m & -m).bit_length() - 1])
+    """The image of every mask of a map that ``combine``s (``or_`` or
+    ``xor``) the images of the singletons, by doubling: the images of the
+    masks below ``1 << (k + 1)`` are those below ``1 << k``, then the same
+    images combined with ``images[k]``."""
+    t = [0]
+    for c in images:
+        t += [v ^ c for v in t] if combine is xor else [v | c for v in t]
     return tuple(t)
 
 
@@ -239,14 +239,7 @@ def _gf2_inverse(rows: tuple[int, ...], n: int) -> tuple[int, ...] | None:
 
 # structural predicates ------------------------------------------------------
 
-def _predicate_gate(table: SubsetMapTable, what: str, gate_override: bool):
-    if table.n > PREDICATE_CAP and not gate_override:
-        raise GateError(
-            f"{what} scans {4**table.n} subset pairs; cap is |X| <= {PREDICATE_CAP}",
-            size=4**table.n)
-
-
-def is_separating(table: SubsetMapTable, gate_override: bool = False) -> bool:
+def is_separating(table: SubsetMapTable) -> bool:
     """Disjoint subsets always map to disjoint subsets.
 
     With below[S] the union of t[B] over all subsets B of S, some B disjoint
@@ -256,7 +249,6 @@ def is_separating(table: SubsetMapTable, gate_override: bool = False) -> bool:
     below[S] for every S containing x_i): O(n 2^n) work instead of a scan
     of the 3^n disjoint pairs.
     """
-    _predicate_gate(table, "is_separating", gate_override)
     t = table.table
     below = list(t)
     for i in range(table.n):
@@ -278,9 +270,9 @@ def is_boolean_endo(table: SubsetMapTable, gate_override: bool = False) -> bool:
     laws. The test is therefore: singleton images pairwise disjoint and
     covering X (the blocks ``PartitionEndo`` accepts), and the table equal
     to that partition's table. That is O(2^n) work instead of a scan of the
-    4^n intersection pairs.
+    4^n intersection pairs. ``gate_override`` lifts the gate of the
+    partition's table, as it lifted the input's.
     """
-    _predicate_gate(table, "is_boolean_endo", gate_override)
     try:
         endo = PartitionEndo(table.elements,
                              tuple(table.table[1 << i] for i in range(table.n)))
@@ -419,7 +411,7 @@ def endo_to_json(endo: PartitionEndo | XorEndo) -> dict:
     return {
         "kind": kind,
         key: {
-            x: sorted(labels_of(endo.elements, m), key=endo.elements.index)
+            x: [y for i, y in enumerate(endo.elements) if m >> i & 1]
             for x, m in zip(endo.elements, masks)
         },
     }

@@ -22,11 +22,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from operator import mul
+from operator import mul, or_, xor
 from typing import Sequence
 
 from .algebra import FIElement, basis_element, jordan_product
-from .endos import PartitionEndo, SubsetMapTable, XorEndo
+from .endos import PartitionEndo, SubsetMapTable, XorEndo, _gf2_rank, _span_table
 from .errors import (
     ClassificationError,
     FieldMismatchError,
@@ -155,10 +155,21 @@ class LinearMap:
 
 
 def _rank_of_values(field: Field, rows: Sequence[Sequence]) -> int:
-    """Exact rank of a matrix of canonical values of ``field``, by forward
+    """Exact rank of a matrix of canonical values of ``field``.
+
+    Over F_2 each row is read as a bitmask (the column order does not
+    change the rank) and eliminated by XOR. Otherwise it is forward
     elimination: only the pivots are inverted, as ``Scalar``s, and each
     updated entry is reduced once through ``Field.canonical``. Zero rows are
     dropped first, as they add nothing to the rank."""
+    if field.cardinality == 2:
+        masks = []
+        for row in rows:
+            m = 0
+            for v in row:
+                m = m << 1 | v
+            masks.append(m)
+        return _gf2_rank(masks)
     work = [list(row) for row in rows if any(row)]
     if not work:
         return 0
@@ -242,8 +253,26 @@ def _diagonal_block(phi: LinearMap) -> list[tuple]:
 
 
 def _diagonal_element(poset: Poset, field: Field, diagonal) -> FIElement:
-    return FIElement.from_dict(
-        poset, field, {(x, x): v for x, v in zip(poset.elements, diagonal)})
+    """The element with the canonical values ``diagonal`` on the diagonal
+    coordinates (the first n) and zero elsewhere."""
+    zeros = [field.zero] * (poset.dimension - poset.n)
+    return FIElement(poset, field, [Scalar(field, v) for v in diagonal] + zeros)
+
+
+def _column_masks(phi: LinearMap) -> list[int] | None:
+    """The diagonal block's columns as masks of the rows that hold a 1, or
+    None when some entry is neither 0 nor 1. Over F_2 every entry is 0 or
+    1, and the masks are the block as a GF(2) matrix stored by columns: the
+    image diagonal of a 0/1 diagonal pattern is the XOR of its columns."""
+    n = phi.poset.n
+    columns = [0] * n
+    for i, row in enumerate(phi.values[:n]):
+        for j in range(n):
+            if row[j]:
+                if row[j] != 1:
+                    return None
+                columns[j] |= 1 << i
+    return columns
 
 
 def extract_subset_map(phi: LinearMap, gate_override: bool = False) -> SubsetMapTable:
@@ -252,8 +281,11 @@ def extract_subset_map(phi: LinearMap, gate_override: bool = False) -> SubsetMap
     Every diagonal value of phi(e_A) must be 0 or 1; a value outside {0, 1}
     refutes preserver-ness and is reported with its witness subset, the
     first in mask order. The diagonal of phi(e_A) sums the diagonal-block
-    columns of A, so the sums are built by doubling: the sums for the
-    subsets of columns 0..k+1 are those for columns 0..k, then the same
+    columns of A. When every block entry is 0 or 1 the table is read off
+    the columns as masks: over F_2 it is their XOR span, and over any other
+    field, when no row holds two 1s, every sum is 0 or 1 and the table is
+    their OR span. Otherwise the sums are built by doubling: the sums for
+    the subsets of columns 0..k+1 are those for columns 0..k, then the same
     sums plus column k+1. Each doubling adds the next masks in ascending
     order, and they are checked as they are added. ``gate_override`` lifts
     the |X| <= SUBSET_TABLE_CAP gate.
@@ -267,6 +299,19 @@ def extract_subset_map(phi: LinearMap, gate_override: bool = False) -> SubsetMap
             f"subset-map extraction needs 2^{n} images; cap is |X| <= {SUBSET_TABLE_CAP}",
             size=1 << n)
     elements = poset.elements
+    columns = _column_masks(phi)
+    if columns is not None:
+        if field.cardinality == 2:
+            return SubsetMapTable(elements, _span_table(columns, xor),
+                                  gate_override=gate_override)
+        union = 0
+        for c in columns:
+            if union & c:
+                break
+            union |= c
+        else:
+            return SubsetMapTable(elements, _span_table(columns, or_),
+                                  gate_override=gate_override)
     canonical = field.canonical
     sums = [[0] * n]
     table = [0]
@@ -331,6 +376,15 @@ def find_nonpreserved_unit(phi: LinearMap, gate_override: bool = False) -> FIEle
                 return delta + basis_element(poset, field, x, y).scale(t)
     p = field.p
     _gate((p - 1) ** n, "preserves_invertibility", gate_override)
+    if p == 2:
+        # the one nonzero pattern is all ones, whose image diagonal is the
+        # XOR of the block's columns: the full mask's entry of their span
+        image = 0
+        for c in _column_masks(phi):
+            image ^= c
+        if image == (1 << n) - 1:
+            return None
+        return _diagonal_element(poset, field, (1,) * n)
     block = _diagonal_block(phi)
     for diag in product(range(1, p), repeat=n):
         if not all(sum(map(mul, row, diag)) % p for row in block):
@@ -358,6 +412,16 @@ def find_strongness_counterexample(phi: LinearMap,
     n = poset.n
     p = field.p
     _gate(p ** n, "is_strong", gate_override)
+    if p == 2:
+        # product order reads the first coordinate of a pattern as its top
+        # bit, so the XOR span of the reversed columns lists the image
+        # diagonals in that order; the all-ones pattern comes last, and a
+        # preserver maps it to the full mask
+        full = (1 << n) - 1
+        k = _span_table(_column_masks(phi)[::-1], xor).index(full)
+        if k == full:
+            return None
+        return _diagonal_element(poset, field, [k >> (n - 1 - j) & 1 for j in range(n)])
     block = _diagonal_block(phi)
     for diag in product(range(p), repeat=n):
         if all(diag):

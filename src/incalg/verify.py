@@ -179,7 +179,7 @@ def classify(phi: LinearMap, gate_override: bool = False,
     if phi.field.cardinality == 2:
         endo: PartitionEndo | XorEndo = to_xor_endo(table, gate_override=gate_override)
     else:
-        if not is_separating(table, gate_override=gate_override):
+        if not is_separating(table):
             raise ClassificationError(
                 "lb-separating", "extracted subset map is not separating")
         endo = to_partition(table, gate_override=gate_override)
@@ -404,7 +404,7 @@ def _lemma_checks(phi: LinearMap, table: SubsetMapTable, sample: list[tuple],
 
     if field.cardinality != 2:
         out["lb-separating"] = (
-            None if is_separating(table, gate_override=gate_override)
+            None if is_separating(table)
             else "disjoint subsets with meeting images")
         out["lb-preserves-diff-and-cap"] = (
             None if is_boolean_endo(table, gate_override=gate_override)

@@ -17,7 +17,9 @@ delta, where the library reads row sums off the map's values.
 applies the map to each Jordan product, with products through
 :func:`boxed_convolve`; :func:`boxed_is_separating` and
 :func:`boxed_is_boolean_endo` scan the subset pairs that the library's
-O(n 2^n) checks replace.
+O(n 2^n) checks replace (the library's 4^n gate on those scans is gone, and
+so is its call here). :func:`boxed_span_table` builds a span table entry by
+entry, by the lowest-bit recurrence that the library's doubling replaced.
 """
 
 from itertools import product
@@ -28,7 +30,6 @@ from incalg.endos import (
     PartitionEndo,
     SubsetMapTable,
     XorEndo,
-    _predicate_gate,
     labels_of,
 )
 from incalg.errors import (
@@ -301,8 +302,7 @@ def boxed_find_jordan_counterexample(phi):
     return None
 
 
-def boxed_is_separating(table, gate_override=False):
-    _predicate_gate(table, "is_separating", gate_override)
+def boxed_is_separating(table):
     full = (1 << table.n) - 1
     for a in range(full + 1):
         rest = full & ~a
@@ -316,8 +316,7 @@ def boxed_is_separating(table, gate_override=False):
     return True
 
 
-def boxed_is_boolean_endo(table, gate_override=False):
-    _predicate_gate(table, "is_boolean_endo", gate_override)
+def boxed_is_boolean_endo(table):
     full = (1 << table.n) - 1
     t = table.table
     if t[full] != full:
@@ -330,3 +329,10 @@ def boxed_is_boolean_endo(table, gate_override=False):
             if t[a & b] != t[a] & t[b]:
                 return False
     return True
+
+
+def boxed_span_table(images, combine):
+    t = [0] * (1 << len(images))
+    for m in range(1, len(t)):
+        t[m] = combine(t[m & (m - 1)], images[(m & -m).bit_length() - 1])
+    return tuple(t)

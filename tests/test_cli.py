@@ -294,6 +294,18 @@ def test_classify_gate_override_lifts_the_subset_table_cap(tmp_path, capsys):
     assert "lambda: " + " ".join(f"{i}->{{{i}}}" for i in range(1, 14)) in out
 
 
+def test_classify_reaches_the_table_laws_up_to_the_subset_table_cap(tmp_path, capsys):
+    """The table laws have no gate of their own: the identity of antichain:9
+    over Q classifies without ``--gate-override``."""
+    rows = "\n".join(" ".join("1" if i == j else "0" for j in range(9)) for i in range(9))
+    map_path = tmp_path / "map.txt"
+    map_path.write_text(f"map\nfield: Q\nposet: antichain:9\n{rows}\n")
+    code, out = run(capsys, "classify", "--map", str(map_path))
+    assert code == 0
+    assert "unital invertibility preserver" in out
+    assert "lambda: " + " ".join(f"{i}->{{{i}}}" for i in range(1, 10)) in out
+
+
 def test_randomized_lemmas_gate_override_reaches_the_table_laws(capsys):
     argv = ["lemmas", "--poset", "antichain:9", "--field", "Fp", "3",
             "--sample", "randomized", "--trials", "2", "--seed", "1"]

@@ -1,5 +1,6 @@
 import random
 from itertools import product
+from operator import or_, xor
 
 import pytest
 from hypothesis import given, strategies as st
@@ -18,9 +19,9 @@ from incalg import (
     to_partition,
     to_xor_endo,
 )
-from incalg.endos import mask_of
+from incalg.endos import _span_table, mask_of
 
-from boxed_reference import boxed_is_boolean_endo, boxed_is_separating
+from boxed_reference import boxed_is_boolean_endo, boxed_is_separating, boxed_span_table
 from conftest import random_partition_endo, random_xor_endo
 
 XY = ("1", "2")
@@ -278,12 +279,21 @@ def test_gates():
     with pytest.raises(GateError):
         SubsetMapTable(labels13, tuple([0] * (1 << 13)))
     labels9 = tuple(f"x{i}" for i in range(9))
-    table9 = SubsetMapTable(labels9, tuple(masks(9)))
-    with pytest.raises(GateError):
-        is_separating(table9)
-    assert is_separating(table9, gate_override=True)
+    assert is_separating(SubsetMapTable(labels9, tuple(masks(9))))
     with pytest.raises(GateError):
         next(enumerate_endos(tuple(f"x{i}" for i in range(5)), "boolean"))
+
+
+def test_span_table_matches_boxed_reference():
+    """Doubling and the lowest-bit recurrence give the same table for every
+    n <= 8, under OR and XOR, on random images and on the identity."""
+    rng = random.Random(0)
+    for n in range(9):
+        cases = [tuple(1 << i for i in range(n))] + [
+            tuple(rng.randrange(1 << n) for _ in range(n)) for _ in range(10)]
+        for images in cases:
+            for combine in (or_, xor):
+                assert _span_table(images, combine) == boxed_span_table(images, combine)
 
 
 def test_endo_line_round_trip():

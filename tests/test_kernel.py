@@ -10,6 +10,7 @@ import functools
 import random
 from itertools import permutations
 from fractions import Fraction
+from operator import or_
 
 import pytest
 from hypothesis import given, strategies as st
@@ -32,6 +33,7 @@ from incalg import (
 )
 from incalg.algebra import basis_element
 from incalg.preservers import (
+    _column_masks,
     _rank_of_values,
     find_jordan_counterexample,
     find_nonpreserved_unit,
@@ -56,7 +58,7 @@ from boxed_reference import (
 )
 from conftest import F2, F3, F5, POSET_POOL, PRIME_FIELDS, Q, RING_FIELDS, random_xor_endo
 
-MAP_KINDS = ["sparse", "unital", "stage-ii", "preserver", "perturbed"]
+MAP_KINDS = ["sparse", "zero-one", "unital", "stage-ii", "preserver", "perturbed"]
 SCAN_CAP = 700  # p^n bound for the exhaustive scans, to keep the boxed side fast
 
 
@@ -70,7 +72,9 @@ def _value(field, rng, zero_share=0.5):
 
 def random_map(poset, field, kind: str, rng: random.Random) -> LinearMap:
     """A map of the given kind: ``sparse`` (about half the entries zero),
-    ``unital`` (fixes the identity), ``stage-ii`` (unital, and its diagonal
+    ``zero-one`` (every entry 0 or 1, a third of them 1, so over F3 and Q
+    some diagonal blocks are 0/1 with two 1s in a row and some with at most
+    one), ``unital`` (fixes the identity), ``stage-ii`` (unital, and its diagonal
     rows are zero on the radical columns), ``preserver`` (a random normal
     form) or ``perturbed`` (a preserver with one diagonal row changed, still
     unital and still zero on the radical columns)."""
@@ -84,6 +88,9 @@ def random_map(poset, field, kind: str, rng: random.Random) -> LinearMap:
             rows[y][x] = rows[y][x] + c
             rows[y][(x + 1) % n] = rows[y][(x + 1) % n] - c
         return LinearMap(poset, field, rows)
+    if kind == "zero-one":
+        return LinearMap.from_rows(
+            poset, field, [[int(rng.random() < 1 / 3) for _ in range(d)] for _ in range(d)])
     rows = [[_value(field, rng) for _ in range(d)] for _ in range(d)]
     if kind in ("unital", "stage-ii"):
         for i, row in enumerate(rows):
@@ -249,6 +256,51 @@ def test_map_kinds_reach_every_branch():
                         seen.add("stage (ii)")
                     seen.add(outcome(extract_subset_map, phi)[0])
     assert seen == {"preserver", "stage (i)", "stage (ii)", "result", "refuted"}
+
+
+def test_mask_paths_reach_every_branch():
+    """The map kinds reach every path of the mask kernels: the XOR-span
+    extraction over F2; over F3 and Q the OR-span extraction of a 0/1
+    block with at most one 1 per row, and a 0/1 block with two 1s in a row,
+    which falls back to the doubling sums and is refuted with the boxed
+    witness; both outcomes of the F2 stage (ii) and strongness scans; and
+    full and deficient F2 ranks of maps with radical rows, equal to the
+    boxed rank."""
+    rng = random.Random(0)
+    seen = set()
+    for field in (F2, F3, Q):
+        for poset in POSET_POOL:
+            n, d = poset.n, poset.dimension
+            for kind in MAP_KINDS:
+                for _ in range(3):
+                    phi = random_map(poset, field, kind, rng)
+                    columns = _column_masks(phi)
+                    result = outcome(extract_subset_map, phi)
+                    if field == F2:
+                        path = "xor span"
+                    elif columns is None:
+                        path = "sums"
+                    elif sum(map(int.bit_count, columns)) == functools.reduce(
+                            or_, columns).bit_count():
+                        path = "or span"
+                    else:
+                        path = "0/1 sums"
+                        assert result == outcome(boxed_extract_subset_map, phi)
+                    seen.add((path, result[0]))
+                    if field != F2:
+                        continue
+                    if not any(any(row[n:]) for row in phi.values[:n]):
+                        seen.add(("unit scan", find_nonpreserved_unit(phi) is None))
+                    if phi.is_unital() and find_nonpreserved_unit(phi) is None:
+                        seen.add(("strong scan", find_strongness_counterexample(phi) is None))
+                    if d > n:
+                        rank = phi.rank()
+                        assert rank == boxed_matrix_rank(phi.rows)
+                        seen.add(("rank", rank == d))
+    assert {("xor span", "result"), ("or span", "result"), ("0/1 sums", "refuted"),
+            ("unit scan", True), ("unit scan", False), ("strong scan", True),
+            ("strong scan", False), ("rank", True), ("rank", False)} <= seen
+    assert ("0/1 sums", "result") not in seen
 
 
 @given(instances(RING_FIELDS))
