@@ -10,14 +10,13 @@ until their structure is known.
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass
+from dataclasses import dataclass
 from itertools import product
-from operator import and_, or_, xor
+from operator import and_
 from typing import Iterable, Iterator, Union
 
 from .errors import ClassificationError, GateError, MismatchError, ParseError
 
-SUBSET_TABLE_CAP = 12   # 2^n-entry tables
 ENUMERATION_CAP = 4     # |X|^|X| or 2^(|X|(|X|-1)) streams
 
 
@@ -83,9 +82,8 @@ class PartitionEndo:
                     owner[j] = i
         return tuple(owner)
 
-    def table(self, gate_override: bool = False) -> "SubsetMapTable":
-        return SubsetMapTable(self.elements, _span_table(self.blocks, or_),
-                              gate_override=gate_override)
+    def table(self) -> "SubsetMapTable":
+        return SubsetMapTable(self.elements, _span_table(self.blocks))
 
     def is_injective(self) -> bool:
         """Injective on P(X) iff no block is empty."""
@@ -138,9 +136,8 @@ class XorEndo:
     def apply(self, labels: Iterable[str]) -> frozenset[str]:
         return labels_of(self.elements, self.apply_mask(mask_of(self.elements, labels)))
 
-    def table(self, gate_override: bool = False) -> "SubsetMapTable":
-        return SubsetMapTable(self.elements, _span_table(self.columns, xor),
-                              gate_override=gate_override)
+    def table(self) -> "SubsetMapTable":
+        return SubsetMapTable(self.elements, _span_table(self.columns))
 
     def is_injective(self) -> bool:
         return _gf2_rank(self.columns) == self.n
@@ -158,20 +155,13 @@ class XorEndo:
 @dataclass(frozen=True)
 class SubsetMapTable:
     """An arbitrary map P(X) -> P(X) as an explicit 2^|X| table, used for
-    maps extracted from linear maps before their structure is known.
-    ``gate_override`` lifts the |X| <= SUBSET_TABLE_CAP gate; it is not
-    stored."""
+    maps extracted from linear maps before their structure is known."""
 
     elements: tuple[str, ...]
     table: tuple[int, ...]
-    gate_override: InitVar[bool] = False
 
-    def __post_init__(self, gate_override: bool):
+    def __post_init__(self):
         n = len(self.elements)
-        if n > SUBSET_TABLE_CAP and not gate_override:
-            raise GateError(
-                f"subset table needs 2^{n} entries; cap is |X| <= {SUBSET_TABLE_CAP}",
-                size=1 << n)
         if len(self.table) != 1 << n:
             raise MismatchError(f"table must have 2^{n} entries")
 
@@ -189,14 +179,15 @@ class SubsetMapTable:
 AnyEndo = Union[PartitionEndo, XorEndo, SubsetMapTable]
 
 
-def _span_table(images: tuple[int, ...], combine) -> tuple[int, ...]:
-    """The image of every mask of a map that ``combine``s (``or_`` or
-    ``xor``) the images of the singletons, by doubling: the images of the
-    masks below ``1 << (k + 1)`` are those below ``1 << k``, then the same
-    images combined with ``images[k]``."""
+def _span_table(images: tuple[int, ...]) -> tuple[int, ...]:
+    """The image of every mask of a map that XORs the images of the
+    singletons, by doubling: the images of the masks below ``1 << (k + 1)``
+    are those below ``1 << k``, then the same images XORed with
+    ``images[k]``. For pairwise disjoint images, such as the blocks of a
+    partition, XOR is OR, so this is also the union span."""
     t = [0]
     for c in images:
-        t += [v ^ c for v in t] if combine is xor else [v | c for v in t]
+        t += [v ^ c for v in t]
     return tuple(t)
 
 
@@ -259,7 +250,7 @@ def is_separating(table: SubsetMapTable) -> bool:
     return not any(map(and_, t, reversed(below)))
 
 
-def is_boolean_endo(table: SubsetMapTable, gate_override: bool = False) -> bool:
+def is_boolean_endo(table: SubsetMapTable) -> bool:
     """Fixes X, commutes with complement, and preserves intersections.
 
     Such a map t also preserves unions, since A | B is the complement of
@@ -270,22 +261,21 @@ def is_boolean_endo(table: SubsetMapTable, gate_override: bool = False) -> bool:
     laws. The test is therefore: singleton images pairwise disjoint and
     covering X (the blocks ``PartitionEndo`` accepts), and the table equal
     to that partition's table. That is O(2^n) work instead of a scan of the
-    4^n intersection pairs. ``gate_override`` lifts the gate of the
-    partition's table, as it lifted the input's.
+    4^n intersection pairs.
     """
     try:
         endo = PartitionEndo(table.elements,
                              tuple(table.table[1 << i] for i in range(table.n)))
     except MismatchError:
         return False
-    return endo.table(gate_override) == table
+    return endo.table() == table
 
 
-def to_partition(table: SubsetMapTable, gate_override: bool = False) -> PartitionEndo:
+def to_partition(table: SubsetMapTable) -> PartitionEndo:
     """Recover the partition normal form of a Boolean-algebra endomorphism:
     the blocks are the images of singletons, whose table ``is_boolean_endo``
     has already compared with the input."""
-    if not is_boolean_endo(table, gate_override=gate_override):
+    if not is_boolean_endo(table):
         raise ClassificationError(
             "lb-preserves-diff-and-cap",
             "table is not a Boolean algebra endomorphism of P(X)")
@@ -293,7 +283,7 @@ def to_partition(table: SubsetMapTable, gate_override: bool = False) -> Partitio
                          tuple(table.table[1 << i] for i in range(table.n)))
 
 
-def to_xor_endo(table: SubsetMapTable, gate_override: bool = False) -> XorEndo:
+def to_xor_endo(table: SubsetMapTable) -> XorEndo:
     """Recover the GF(2)-matrix normal form of an additive map fixing X."""
     n = table.n
     full = (1 << n) - 1
@@ -306,7 +296,7 @@ def to_xor_endo(table: SubsetMapTable, gate_override: bool = False) -> XorEndo:
             "lb-prese-symm-diff",
             "table does not fix X, or its singleton images do not combine to X")
     endo = XorEndo(table.elements, columns)
-    additive = endo.table(gate_override).table
+    additive = endo.table().table
     if additive != table.table:
         m = next(m for m, (a, b) in enumerate(zip(additive, table.table)) if a != b)
         raise ClassificationError(

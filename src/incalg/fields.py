@@ -10,10 +10,11 @@ box them on read. The hot kernels (``LinearMap.apply``, convolution,
 ``FIElement.inverse``, ``LinearMap.rank``, the subset table and the pattern
 scans) accumulate a plain ``int`` (a ``Fraction`` over Q) and reduce it once
 by ``Field.canonical``, or by ``Field.reduce`` to a ``Scalar``. Over F_2 the
-subset table, both pattern scans and the rank need no reduction at all:
+subset table, the strongness scan and the rank need no reduction at all:
 they read the diagonal block's columns (the matrix's rows, for the rank) as
-bitmasks and combine them by XOR; the subset table of a 0/1 block with at
-most one 1 per row is the OR span of its columns over any field.
+bitmasks and combine them by XOR. Over any field, a 0/1 block with at most
+one 1 per row has pairwise disjoint columns, and its subset table is their
+XOR span too.
 ``Field.canonical`` is the one reduction rule of each field: the ``Scalar``
 operators reduce through it too, by ``Field.reduce``. Operands are not
 checked per operation: ``Field.check_scalars`` checks field membership once,

@@ -21,8 +21,9 @@ in two stages:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from itertools import product
-from operator import mul, or_, xor
+from operator import mul, or_
 from typing import Sequence
 
 from .algebra import FIElement, basis_element, jordan_product
@@ -34,6 +35,7 @@ from .errors import (
     InfiniteFieldError,
     MismatchError,
     ParseError,
+    PosetError,
 )
 from .fields import Field, PrimeField, Scalar, format_field, parse_field
 from .posets import Poset
@@ -91,11 +93,17 @@ class LinearMap:
     def from_basis_images(cls, poset: Poset, field: Field,
                           images: dict[tuple[str, str], FIElement]) -> "LinearMap":
         """Define a map column by column from images of basis elements;
-        unnamed basis elements map to zero."""
+        unnamed basis elements map to zero. Each key must be a basis pair of
+        ``poset`` and each image an element over it."""
         d = poset.dimension
         z = field.zero
         rows = [[z] * d for _ in range(d)]
         for pair, image in images.items():
+            if pair not in poset.pair_index:
+                raise PosetError(f"not a basis pair: {pair[0]!r} <= {pair[1]!r} fails")
+            if image.poset != poset:
+                raise MismatchError(
+                    f"image of e[{pair[0]},{pair[1]}] lives over a different poset")
             j = poset.pair_index[pair]
             for i, c in enumerate(image.coeffs):
                 rows[i][j] = c
@@ -275,7 +283,7 @@ def _column_masks(phi: LinearMap) -> list[int] | None:
     return columns
 
 
-def extract_subset_map(phi: LinearMap, gate_override: bool = False) -> SubsetMapTable:
+def extract_subset_map(phi: LinearMap) -> SubsetMapTable:
     """Extract the subset map A -> {x : phi(e_A)_xx = 1}.
 
     Every diagonal value of phi(e_A) must be 0 or 1; a value outside {0, 1}
@@ -283,35 +291,21 @@ def extract_subset_map(phi: LinearMap, gate_override: bool = False) -> SubsetMap
     first in mask order. The diagonal of phi(e_A) sums the diagonal-block
     columns of A. When every block entry is 0 or 1 the table is read off
     the columns as masks: over F_2 it is their XOR span, and over any other
-    field, when no row holds two 1s, every sum is 0 or 1 and the table is
-    their OR span. Otherwise the sums are built by doubling: the sums for
+    field, when no row holds two 1s (the columns are pairwise disjoint, so
+    their sum is their union), every sum is 0 or 1 and is the XOR of the
+    columns too. Otherwise the sums are built by doubling: the sums for
     the subsets of columns 0..k+1 are those for columns 0..k, then the same
     sums plus column k+1. Each doubling adds the next masks in ascending
-    order, and they are checked as they are added. ``gate_override`` lifts
-    the |X| <= SUBSET_TABLE_CAP gate.
+    order, and they are checked as they are added. The table has 2^n
+    entries for n <= 16, the cap of the algebra.
     """
-    from .endos import SUBSET_TABLE_CAP
-
     poset, field = phi.poset, phi.field
     n = poset.n
-    if n > SUBSET_TABLE_CAP and not gate_override:
-        raise GateError(
-            f"subset-map extraction needs 2^{n} images; cap is |X| <= {SUBSET_TABLE_CAP}",
-            size=1 << n)
     elements = poset.elements
     columns = _column_masks(phi)
-    if columns is not None:
-        if field.cardinality == 2:
-            return SubsetMapTable(elements, _span_table(columns, xor),
-                                  gate_override=gate_override)
-        union = 0
-        for c in columns:
-            if union & c:
-                break
-            union |= c
-        else:
-            return SubsetMapTable(elements, _span_table(columns, or_),
-                                  gate_override=gate_override)
+    if columns is not None and (field.cardinality == 2
+                                or sum(columns) == reduce(or_, columns, 0)):
+        return SubsetMapTable(elements, _span_table(columns))
     canonical = field.canonical
     sums = [[0] * n]
     table = [0]
@@ -334,7 +328,7 @@ def extract_subset_map(phi: LinearMap, gate_override: bool = False) -> SubsetMap
                         witness=f"A = {{{subset}}}")
             table.append(out)
         sums += added
-    return SubsetMapTable(elements, tuple(table), gate_override=gate_override)
+    return SubsetMapTable(elements, tuple(table))
 
 
 def extract_radical_map(phi: LinearMap) -> LinearMap:
@@ -376,15 +370,6 @@ def find_nonpreserved_unit(phi: LinearMap, gate_override: bool = False) -> FIEle
                 return delta + basis_element(poset, field, x, y).scale(t)
     p = field.p
     _gate((p - 1) ** n, "preserves_invertibility", gate_override)
-    if p == 2:
-        # the one nonzero pattern is all ones, whose image diagonal is the
-        # XOR of the block's columns: the full mask's entry of their span
-        image = 0
-        for c in _column_masks(phi):
-            image ^= c
-        if image == (1 << n) - 1:
-            return None
-        return _diagonal_element(poset, field, (1,) * n)
     block = _diagonal_block(phi)
     for diag in product(range(1, p), repeat=n):
         if not all(sum(map(mul, row, diag)) % p for row in block):
@@ -418,7 +403,7 @@ def find_strongness_counterexample(phi: LinearMap,
         # diagonals in that order; the all-ones pattern comes last, and a
         # preserver maps it to the full mask
         full = (1 << n) - 1
-        k = _span_table(_column_masks(phi)[::-1], xor).index(full)
+        k = _span_table(_column_masks(phi)[::-1]).index(full)
         if k == full:
             return None
         return _diagonal_element(poset, field, [k >> (n - 1 - j) & 1 for j in range(n)])

@@ -161,7 +161,9 @@ def classify(phi: LinearMap, gate_override: bool = False,
     oracle first (unless ``assume_preserver``). Over the rationals it is
     taken as asserted, and classification doubles as verification: any
     structural failure refutes the assertion. Every refutation names the
-    violated law and carries a witness.
+    violated law and carries a witness. ``gate_override`` lifts the gates of
+    the prime-field oracle; the subset table has no gate below the algebra's
+    own cap.
     """
     delta = FIElement.delta(phi.poset, phi.field)
     if phi.apply(delta) != delta:
@@ -175,14 +177,14 @@ def classify(phi: LinearMap, gate_override: bool = False,
                 f"unit {format_element(bad)} maps to the non-unit "
                 f"{format_element(phi.apply(bad))}",
                 witness=format_element(bad))
-    table = extract_subset_map(phi, gate_override=gate_override)
+    table = extract_subset_map(phi)
     if phi.field.cardinality == 2:
-        endo: PartitionEndo | XorEndo = to_xor_endo(table, gate_override=gate_override)
+        endo: PartitionEndo | XorEndo = to_xor_endo(table)
     else:
         if not is_separating(table):
             raise ClassificationError(
                 "lb-separating", "extracted subset map is not separating")
-        endo = to_partition(table, gate_override=gate_override)
+        endo = to_partition(table)
     spec = PreserverSpec(phi.poset, phi.field, endo, extract_radical_map(phi))
     rebuilt = build_preserver(spec)
     if rebuilt != phi:
@@ -356,8 +358,8 @@ def _sample_values(poset: Poset, field: PrimeField, cap: int = 4096,
     return [tuple(rng.randrange(p) for _ in range(d)) for _ in range(trials)]
 
 
-def _lemma_checks(phi: LinearMap, table: SubsetMapTable, sample: list[tuple],
-                  gate_override: bool = False) -> dict[str, str | None]:
+def _lemma_checks(phi: LinearMap, table: SubsetMapTable,
+                  sample: list[tuple]) -> dict[str, str | None]:
     """Each applicable law checked literally; values are failure witnesses.
 
     ``table`` is the subset table already extracted from ``phi`` and
@@ -407,7 +409,7 @@ def _lemma_checks(phi: LinearMap, table: SubsetMapTable, sample: list[tuple],
             None if is_separating(table)
             else "disjoint subsets with meeting images")
         out["lb-preserves-diff-and-cap"] = (
-            None if is_boolean_endo(table, gate_override=gate_override)
+            None if is_boolean_endo(table)
             else "not a Boolean algebra endomorphism")
 
     # partitions of X (of cardinality <= |K|) keep covering X after the map
@@ -504,8 +506,8 @@ def verify_lemma_suite(poset: Poset, field: PrimeField,
         raise ValueError(f"unknown sample mode {sample!r}")
     verdicts = []
     for instance, phi in instances:
-        table = extract_subset_map(phi, gate_override=gate_override)
-        checks = _lemma_checks(phi, table, values, gate_override=gate_override)
+        table = extract_subset_map(phi)
+        checks = _lemma_checks(phi, table, values)
         for lemma, witness in checks.items():
             verdicts.append(LemmaVerdict(lemma, instance, witness is None, witness))
     return verdicts

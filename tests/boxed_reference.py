@@ -26,7 +26,6 @@ from itertools import product
 
 from incalg.algebra import FIElement, basis_element, format_element, indicator
 from incalg.endos import (
-    SUBSET_TABLE_CAP,
     PartitionEndo,
     SubsetMapTable,
     XorEndo,
@@ -75,10 +74,6 @@ def boxed_convolve(x, y):
 def boxed_extract_subset_map(phi):
     poset, field = phi.poset, phi.field
     n = poset.n
-    if n > SUBSET_TABLE_CAP:
-        raise GateError(
-            f"subset-map extraction needs 2^{n} images; cap is |X| <= {SUBSET_TABLE_CAP}",
-            size=1 << n)
     elements = poset.elements
     one = field.one
     table = []

@@ -279,19 +279,32 @@ def test_poset_file_argument(tmp_path, capsys):
     assert "oracle_count:  16" in out
 
 
-def test_classify_gate_override_lifts_the_subset_table_cap(tmp_path, capsys):
-    rows = "\n".join(" ".join("1" if i == j else "0" for j in range(13)) for i in range(13))
-    map_path = tmp_path / "map.txt"
-    map_path.write_text(f"map\nfield: Q\nposet: antichain:13\n{rows}\n")
-    code = main(["classify", "--map", str(map_path)])
-    captured = capsys.readouterr()
-    assert code == 2
-    assert captured.err == ("error: subset-map extraction needs 2^13 images; "
-                            "cap is |X| <= 12\n")
-    code, out = run(capsys, "classify", "--map", str(map_path), "--gate-override")
-    assert code == 0
-    assert "unital invertibility preserver" in out
-    assert "lambda: " + " ".join(f"{i}->{{{i}}}" for i in range(1, 14)) in out
+def identity_map_file(tmp_path, n: int):
+    """A map file holding the identity of antichain:n over Q."""
+    rows = "\n".join(" ".join("1" if i == j else "0" for j in range(n)) for i in range(n))
+    map_path = tmp_path / f"identity{n}.txt"
+    map_path.write_text(f"map\nfield: Q\nposet: antichain:{n}\n{rows}\n")
+    return map_path
+
+
+def test_classify_reaches_the_algebra_cap_without_override(tmp_path, capsys):
+    """The subset table has no gate of its own: over Q the identities of
+    antichain:13 and antichain:16 classify without ``--gate-override``."""
+    for n in (13, 16):
+        code, out = run(capsys, "classify", "--map", str(identity_map_file(tmp_path, n)))
+        assert code == 0
+        assert "unital invertibility preserver" in out
+        assert "lambda: " + " ".join(f"{i}->{{{i}}}" for i in range(1, n + 1)) in out
+
+
+def test_classify_beyond_the_algebra_cap_is_bad_input(tmp_path, capsys):
+    """The n <= 16 algebra cap is fixed: ``--gate-override`` does not lift it."""
+    map_path = identity_map_file(tmp_path, 17)
+    for flags in ([], ["--gate-override"]):
+        code = main(["classify", "--map", str(map_path), *flags])
+        assert code == 2
+        assert capsys.readouterr().err.endswith(
+            "error: poset too large for algebra construction: 17 elements > cap 16\n")
 
 
 def test_classify_reaches_the_table_laws_up_to_the_subset_table_cap(tmp_path, capsys):

@@ -276,8 +276,7 @@ def test_xor_endo_laws_exhaustive_small_and_sampled_large():
 
 def test_gates():
     labels13 = tuple(f"x{i}" for i in range(13))
-    with pytest.raises(GateError):
-        SubsetMapTable(labels13, tuple([0] * (1 << 13)))
+    assert SubsetMapTable(labels13, tuple([0] * (1 << 13))).n == 13
     labels9 = tuple(f"x{i}" for i in range(9))
     assert is_separating(SubsetMapTable(labels9, tuple(masks(9))))
     with pytest.raises(GateError):
@@ -286,14 +285,19 @@ def test_gates():
 
 def test_span_table_matches_boxed_reference():
     """Doubling and the lowest-bit recurrence give the same table for every
-    n <= 8, under OR and XOR, on random images and on the identity."""
+    n <= 8: the XOR span on random images, and the OR span on pairwise
+    disjoint images (the identity's and random partitions' blocks), where
+    OR is XOR."""
     rng = random.Random(0)
     for n in range(9):
-        cases = [tuple(1 << i for i in range(n))] + [
-            tuple(rng.randrange(1 << n) for _ in range(n)) for _ in range(10)]
-        for images in cases:
-            for combine in (or_, xor):
-                assert _span_table(images, combine) == boxed_span_table(images, combine)
+        for _ in range(10):
+            images = tuple(rng.randrange(1 << n) for _ in range(n))
+            assert _span_table(images) == boxed_span_table(images, xor)
+        elements = tuple(f"x{i}" for i in range(n))
+        disjoint = [tuple(1 << i for i in range(n))] + [
+            random_partition_endo(elements, rng).blocks for _ in range(10)]
+        for images in disjoint:
+            assert _span_table(images) == boxed_span_table(images, or_)
 
 
 def test_endo_line_round_trip():

@@ -80,6 +80,17 @@ def char2_counterexample_map():
     })
 
 
+def test_from_basis_images_rejects_a_non_basis_pair():
+    with pytest.raises(PosetError, match="not a basis pair: '2' <= '1' fails"):
+        LinearMap.from_basis_images(CHAIN2, F3, {("2", "1"): FIElement.zero(CHAIN2, F3)})
+
+
+@pytest.mark.parametrize("other", [CHAIN3, ANTI3], ids=["other-dimension", "same-dimension"])
+def test_from_basis_images_rejects_an_image_over_another_poset(other):
+    with pytest.raises(MismatchError, match="image of e\\[1,1\\] lives over a different poset"):
+        LinearMap.from_basis_images(CHAIN2, F3, {("1", "1"): FIElement.delta(other, F3)})
+
+
 def test_apply_identity_and_zero():
     a = parse_element("1*e[1] + 2*e[2] + 1*e[1,2]", CHAIN2, F3)
     assert LinearMap.identity(CHAIN2, F3).apply(a) == a
@@ -278,6 +289,19 @@ def test_round_trip_exhaustive_tiny_and_randomized():
         field = random.Random(rng.random()).choice([F2, F3, F5, Q])
         spec = random_preserver_spec(poset, field, rng)
         assert classify(build_preserver(spec)) == spec
+
+
+@pytest.mark.parametrize("name", ["antichain:12", "antichain:16", "chain:16"])
+def test_classify_over_q_reaches_the_algebra_cap(name):
+    """The subset table has no gate below the algebra's n <= 16 cap: the
+    identity and a seeded random normal form classify without override."""
+    poset = builtin_poset(name)
+    identity = PreserverSpec(poset, Q, PartitionEndo(poset.elements,
+                                                     tuple(1 << i for i in range(poset.n))),
+                             radical_projection(poset, Q))
+    assert classify(LinearMap.identity(poset, Q)) == identity
+    spec = random_preserver_spec(poset, Q, random.Random(16))
+    assert classify(build_preserver(spec)) == spec
 
 
 def test_built_preservers_pass_the_oracle_and_laws():

@@ -1,5 +1,6 @@
 """The README's examples, run as written: the library snippet prints what its
-comments say, and every CLI example exits 0."""
+comments say, and every CLI example exits 0. The README's gate table states
+the caps in the code."""
 
 import contextlib
 import io
@@ -10,6 +11,10 @@ from pathlib import Path
 import pytest
 
 from incalg.cli import main
+from incalg.endos import ENUMERATION_CAP
+from incalg.posets import ALGEBRA_SIZE_CAP
+from incalg.preservers import IDEMPOTENT_SCAN_CAP, INVERSE_CAP_X, PRESERVER_CAP_X, SCAN_CAP
+from incalg.verify import CENSUS_SPACE_CAP
 
 README = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
 BLOCKS = re.findall(r"^```(\w*)\n(.*?)^```$", README, flags=re.M | re.S)
@@ -66,3 +71,28 @@ def test_cli_examples_on_the_readme_spec(tmp_path, monkeypatch, capsys):
         assert main(by_verb[verb]) == 0, verb
         assert capsys.readouterr().err == ""
     assert (tmp_path / "m.txt").read_text(encoding="utf-8").startswith("map\n")
+
+
+def power_of_ten(cap: int) -> str:
+    """``10^k`` for a cap of exactly 10**k."""
+    k = len(str(cap)) - 1
+    assert cap == 10**k, cap
+    return f"10^{k}"
+
+
+def test_gate_table_states_the_caps():
+    """Each row of the gate table, rebuilt from the cap constants it names,
+    so a gate changed in code without its row fails here."""
+    scan = power_of_ten(SCAN_CAP)
+    expected = [
+        ("operation", "gate"),
+        ("algebra construction", f"`n <= {ALGEBRA_SIZE_CAP}`"),
+        ("endomorphism streams", f"`n <= {ENUMERATION_CAP}`"),
+        ("preserver / strongness scans", f"`n <= {PRESERVER_CAP_X}`, `<= {scan}` cases"),
+        ("inverse-preservation scan", f"`n <= {INVERSE_CAP_X}`, `<= {scan}` units"),
+        ("idempotent scan", f"`q^d <= {power_of_ten(IDEMPOTENT_SCAN_CAP)}`"),
+        ("census", f"`q^(d^2) <= {power_of_ten(CENSUS_SPACE_CAP)}`, and `(q-1)^n`, "
+                   f"`q^n <= {scan}` for the per-survivor scans"),
+    ]
+    section = README.split("## Decision procedures and gates\n", 1)[1].split("\n## ", 1)[0]
+    assert re.findall(r"^\| (.+?) +\| (.+?) +\|$", section, flags=re.M) == expected
