@@ -15,9 +15,7 @@ from itertools import product
 from operator import and_
 from typing import Iterable, Iterator, Union
 
-from .errors import ClassificationError, GateError, MismatchError, ParseError
-
-ENUMERATION_CAP = 4     # |X|^|X| or 2^(|X|(|X|-1)) streams
+from .errors import ClassificationError, MismatchError, ParseError
 
 
 def mask_of(elements: tuple[str, ...], labels: Iterable[str]) -> int:
@@ -306,19 +304,14 @@ def to_xor_endo(table: SubsetMapTable) -> XorEndo:
     return endo
 
 
-def enumerate_endos(elements: tuple[str, ...], regime: str,
-                    gate_override: bool = False) -> Iterator[AnyEndo]:
-    """Stream every endomorphism in the given normal form.
+def enumerate_endos(elements: tuple[str, ...], regime: str) -> Iterator[AnyEndo]:
+    """Stream every endomorphism in the given normal form, lazily.
 
     ``boolean`` streams all PartitionEndos (one per function X -> X);
     ``xor`` streams all XorEndos (all GF(2) matrices fixing the all-ones
     vector).
     """
     n = len(elements)
-    if n > ENUMERATION_CAP and not gate_override:
-        raise GateError(
-            f"endomorphism stream over |X| = {n}; cap is |X| <= {ENUMERATION_CAP}",
-            size=n**n if regime == "boolean" else 1 << (n * (n - 1)))
     if regime == "boolean":
         for owner in product(range(n), repeat=n):
             blocks = [0] * n

@@ -12,9 +12,9 @@ scans) accumulate a plain ``int`` (a ``Fraction`` over Q) and reduce it once
 by ``Field.canonical``, or by ``Field.reduce`` to a ``Scalar``. Over F_2 the
 subset table, the strongness scan and the rank need no reduction at all:
 they read the diagonal block's columns (the matrix's rows, for the rank) as
-bitmasks and combine them by XOR. Over any field, a 0/1 block with at most
-one 1 per row has pairwise disjoint columns, and its subset table is their
-XOR span too.
+bitmasks and combine them by XOR. Over any other field a block has a subset
+table only when it is 0/1 with at most one 1 per row; its columns are then
+pairwise disjoint, and the table is their XOR span too.
 ``Field.canonical`` is the one reduction rule of each field: the ``Scalar``
 operators reduce through it too, by ``Field.reduce``. Operands are not
 checked per operation: ``Field.check_scalars`` checks field membership once,

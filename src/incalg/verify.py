@@ -222,7 +222,7 @@ def enumerate_specs(poset: Poset, field: PrimeField) -> Iterator[PreserverSpec]:
     row_choices = [_psi_row(field, head, tail)
                    for head in product(elems, repeat=n - 1)
                    for tail in product(elems, repeat=m)]
-    for endo in enumerate_endos(poset.elements, regime, gate_override=True):
+    for endo in enumerate_endos(poset.elements, regime):
         for rows in product(row_choices, repeat=m):
             psi = LinearMap._of_values(poset, field, zero_rows + rows)
             yield PreserverSpec(poset, field, endo, psi)
@@ -326,8 +326,10 @@ def enumerate_preservers(poset: Poset, field: PrimeField, start: int = 0,
 
 # lemma suite -------------------------------------------------------------------
 
-def _set_partitions(n: int) -> Iterator[list[int]]:
-    """All partitions of {0..n-1} into nonempty blocks, as mask lists."""
+def _set_partitions(n: int, max_blocks: int) -> Iterator[list[int]]:
+    """All partitions of {0..n-1} into at most ``max_blocks`` nonempty
+    blocks, as mask lists. Blocks are only ever added, so a branch that
+    would open one block too many is pruned."""
     if n == 0:
         yield []
         return
@@ -340,11 +342,22 @@ def _set_partitions(n: int) -> Iterator[list[int]]:
             blocks[k] |= 1 << i
             yield from rec(i + 1, blocks)
             blocks[k] &= ~(1 << i)
-        blocks.append(1 << i)
-        yield from rec(i + 1, blocks)
-        blocks.pop()
+        if len(blocks) < max_blocks:
+            blocks.append(1 << i)
+            yield from rec(i + 1, blocks)
+            blocks.pop()
 
     yield from rec(0, [])
+
+
+def _partition_count(n: int, max_blocks: int) -> int:
+    """The number of partitions of an n-set into at most ``max_blocks``
+    nonempty blocks: the Stirling numbers S(n, k) for k <= max_blocks,
+    summed, by S(i, k) = k S(i-1, k) + S(i-1, k-1)."""
+    s = [1] + [0] * max_blocks
+    for _ in range(n):
+        s = [0] + [k * s[k] + s[k - 1] for k in range(1, max_blocks + 1)]
+    return sum(s)
 
 
 def _sample_values(poset: Poset, field: PrimeField, cap: int = 4096,
@@ -415,9 +428,7 @@ def _lemma_checks(phi: LinearMap, table: SubsetMapTable,
     # partitions of X (of cardinality <= |K|) keep covering X after the map
     witness = None
     full = (1 << n) - 1
-    for blocks in _set_partitions(n):
-        if len(blocks) > field.cardinality:
-            continue
+    for blocks in _set_partitions(n, field.cardinality):
         image = 0
         for b in blocks:
             image |= table.table[b]
@@ -433,11 +444,11 @@ def _lemma_checks(phi: LinearMap, table: SubsetMapTable,
         # the image diagonal is the level-set decomposition pushed through
         witness = None
         for vals, image in zip(sample, image_diagonals):
-            level_masks = [0] * field.p
+            level_masks: dict = {}
             for i in range(n):
-                level_masks[vals[i]] |= 1 << i
+                level_masks[vals[i]] = level_masks.get(vals[i], 0) | 1 << i
             expected = [0] * n
-            for k, level_mask in enumerate(level_masks):
+            for k, level_mask in level_masks.items():
                 image_mask = table.table[level_mask]
                 for y in range(n):
                     if image_mask >> y & 1:
@@ -447,19 +458,19 @@ def _lemma_checks(phi: LinearMap, table: SubsetMapTable,
                 break
         out["vf(f)_D=sum-k-e_lb(L_k)"] = witness
     else:
-        # additivity over symmetric difference, fixing X
+        # additivity over symmetric difference, fixing X: adding one element
+        # at a time reaches every pair (A, B), so t(A ^ {x}) = t(A) ^ t({x})
+        # for every A and x is the whole law
         witness = None
-        if table.table[full] != full:
+        t = table.table
+        if t[full] != full:
             witness = "lambda(X) != X"
         else:
-            for a_mask in range(full + 1):
-                for b_mask in range(full + 1):
-                    if table.table[a_mask ^ b_mask] != table.table[a_mask] ^ table.table[b_mask]:
-                        witness = (f"A = {set(labels_of(poset.elements, a_mask))}, "
-                                   f"B = {set(labels_of(poset.elements, b_mask))}")
-                        break
-                if witness:
-                    break
+            witness = next(
+                (f"A = {{{', '.join(sorted(labels_of(poset.elements, a)))}}}, "
+                 f"B = {{{poset.elements[i]}}}"
+                 for a in range(full + 1) for i in range(n)
+                 if t[a ^ (1 << i)] != t[a] ^ t[1 << i]), None)
         out["lb-prese-symm-diff"] = witness
 
     return out
@@ -478,7 +489,9 @@ def verify_lemma_suite(poset: Poset, field: PrimeField,
     verifies each against the brute-force preserver oracle, and then checks
     the laws. Each instance's subset table is extracted once, and a failed
     extraction raises. Element-level laws scan all q^d elements when feasible
-    and a seeded sample otherwise.
+    and a seeded sample otherwise. The partition law reads every partition
+    of X into at most |K| blocks, and their count is gated before the first
+    instance is built.
     """
     if not isinstance(field, PrimeField):
         raise InfiniteFieldError("the lemma suite enumerates field elements; "
@@ -486,6 +499,9 @@ def verify_lemma_suite(poset: Poset, field: PrimeField,
     if sample == "randomized" and trials < 1:
         raise IncalgError(f"the randomized lemma suite needs at least one trial, "
                           f"got {trials}")
+    n = poset.n
+    _gate(_partition_count(n, min(field.p, n)), "the partition law union-lb(L_k(f))=X",
+          gate_override)
     values = _sample_values(poset, field, seed=seed)
     where = f"on {poset.display_name} over {format_field(field)}"
     if sample == "exhaustive":

@@ -34,11 +34,10 @@ from incalg.endos import (
 from incalg.errors import (
     ClassificationError,
     FieldMismatchError,
-    GateError,
     MismatchError,
     NotAUnitError,
 )
-from incalg.preservers import PRESERVER_CAP_X, LinearMap, _gate, _require_prime
+from incalg.preservers import LinearMap, _gate, _require_prime
 from incalg.verify import _lemma_checks
 
 
@@ -102,9 +101,6 @@ def boxed_find_nonpreserved_unit(phi, gate_override=False):
     field = _require_prime(phi, "preserves_invertibility")
     poset = phi.poset
     n, d = poset.n, poset.dimension
-    if n > PRESERVER_CAP_X and not gate_override:
-        raise GateError(
-            f"preserves_invertibility capped at |X| <= {PRESERVER_CAP_X}", size=n)
     delta = FIElement.delta(poset, field)
     image_delta = boxed_apply(phi, delta)
     for i in range(n):

@@ -1,6 +1,7 @@
 import json
 from pathlib import Path
 
+from incalg import LinearMap, PrimeField, builtin_poset, format_linear_map
 from incalg.cli import main
 
 DATA = Path(__file__).parent / "data"
@@ -287,6 +288,14 @@ def identity_map_file(tmp_path, n: int):
     return map_path
 
 
+def fp_identity_map_file(tmp_path, poset: str, p: int):
+    """A map file holding the identity of a builtin poset over Fp p."""
+    phi = LinearMap.identity(builtin_poset(poset), PrimeField(p))
+    map_path = tmp_path / f"identity-{poset.replace(':', '')}-{p}.txt"
+    map_path.write_text(format_linear_map(phi))
+    return map_path
+
+
 def test_classify_reaches_the_algebra_cap_without_override(tmp_path, capsys):
     """The subset table has no gate of its own: over Q the identities of
     antichain:13 and antichain:16 classify without ``--gate-override``."""
@@ -319,14 +328,70 @@ def test_classify_reaches_the_table_laws_up_to_the_subset_table_cap(tmp_path, ca
     assert "lambda: " + " ".join(f"{i}->{{{i}}}" for i in range(1, 10)) in out
 
 
-def test_randomized_lemmas_gate_override_reaches_the_table_laws(capsys):
+def test_randomized_lemmas_reach_the_table_laws_without_override(capsys):
+    """The preserver scan of antichain:9 over Fp 3 visits 2^9 patterns, so
+    no flag is needed; the flag changes nothing."""
     argv = ["lemmas", "--poset", "antichain:9", "--field", "Fp", "3",
             "--sample", "randomized", "--trials", "2", "--seed", "1"]
-    code = main(argv)
-    assert code == 2
-    assert capsys.readouterr().err == "error: preserves_invertibility capped at |X| <= 6\n"
-    code, out = run(capsys, *argv, "--gate-override")
+    for flags in ([], ["--gate-override"]):
+        code, out = run(capsys, *argv, *flags)
+        assert code == 0
+        assert "PASS  lb-separating  --  random spec #1" in out
+        assert "PASS  lb-preserves-diff-and-cap  --  random spec #1" in out
+        assert "14 verdicts, 0 failed" in out
+
+
+def test_randomized_lemmas_at_the_algebra_cap_over_f2(capsys):
+    """antichain:16 over Fp 2: one preserver pattern, 2^15 partitions into
+    at most two blocks, and the additivity law in O(n 2^n)."""
+    code, out = run(capsys, "lemmas", "--poset", "antichain:16", "--field", "Fp", "2",
+                    "--sample", "randomized", "--trials", "2")
     assert code == 0
-    assert "PASS  lb-separating  --  random spec #1" in out
-    assert "PASS  lb-preserves-diff-and-cap  --  random spec #1" in out
-    assert "14 verdicts, 0 failed" in out
+    assert "PASS  lb-prese-symm-diff  --  random spec #1" in out
+    assert "10 verdicts, 0 failed" in out
+
+
+def test_randomized_lemmas_gate_the_partition_law(capsys):
+    """antichain:15 over Fp 3 has S(15,1) + S(15,2) + S(15,3) = 2,391,485
+    partitions into at most three blocks: refused, naming the count."""
+    code = main(["lemmas", "--poset", "antichain:15", "--field", "Fp", "3",
+                 "--sample", "randomized", "--trials", "2"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == ("error: the partition law union-lb(L_k(f))=X would scan "
+                            "2391485 cases (cap 1000000)\n")
+
+
+def test_level_set_law_costs_nothing_per_field_element(capsys):
+    """The level-set law keys its masks by the values present, so a field of
+    999,983 elements costs no more per sample than a small one."""
+    code, out = run(capsys, "lemmas", "--poset", "chain:1", "--field", "Fp", "999983",
+                    "--sample", "randomized", "--trials", "1")
+    assert code == 0
+    assert "PASS  vf(f)_D=sum-k-e_lb(L_k)  --  random spec #0" in out
+    assert "7 verdicts, 0 failed" in out
+
+
+def test_fp_identities_beyond_six_elements_need_no_override(tmp_path, capsys):
+    """Each pattern scan gates on its own count: (q-1)^n and q^n are within
+    10^6 for these identities, so check and classify exit 0."""
+    for poset, n, p in (("chain", 7, 3), ("antichain", 12, 3), ("antichain", 16, 2)):
+        map_path = str(fp_identity_map_file(tmp_path, f"{poset}:{n}", p))
+        code, out = run(capsys, "classify", "--map", map_path)
+        assert code == 0, (poset, n, p)
+        lam = "xor-lambda: " if p == 2 else "lambda: "
+        assert lam + " ".join(f"{i}->{{{i}}}" for i in range(1, n + 1)) in out
+        code, out = run(capsys, "check", "--map", map_path, "--json")
+        assert code == 0, (poset, n, p)
+        verdicts = json.loads(out)["verdicts"]
+        assert verdicts["preserver"] and verdicts["strong"] and verdicts["jordan"]
+
+
+def test_scan_over_its_own_count_still_refuses(tmp_path, capsys):
+    """chain:7 over Fp 11 has 10^7 nonzero diagonal patterns."""
+    map_path = fp_identity_map_file(tmp_path, "chain:7", 11)
+    code = main(["check", "--map", str(map_path)])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "error: preserves_invertibility would scan 10000000 cases (cap 1000000)\n")

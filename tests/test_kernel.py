@@ -261,9 +261,10 @@ def test_map_kinds_reach_every_branch():
 def test_mask_paths_reach_every_branch():
     """The map kinds reach every path of the mask kernels: the XOR-span
     extraction over F2; over F3 and Q the OR-span extraction of a 0/1
-    block with at most one 1 per row, and a 0/1 block with two 1s in a row,
-    which falls back to the doubling sums and is refuted with the boxed
-    witness; both outcomes of the F2 stage (ii) and strongness scans; and
+    block with at most one 1 per row, a 0/1 block with two 1s in a row,
+    refuted at its first overlapping pair of columns with the boxed
+    witness, and a block with a value outside {0, 1}, refuted at its first
+    such column with the boxed witness; both outcomes of the F2 stage (ii) and strongness scans; and
     full and deficient F2 ranks of maps with radical rows, equal to the
     boxed rank."""
     rng = random.Random(0)
@@ -279,12 +280,13 @@ def test_mask_paths_reach_every_branch():
                     if field == F2:
                         path = "xor span"
                     elif columns is None:
-                        path = "sums"
+                        path = "non-0/1 column"
+                        assert result == outcome(boxed_extract_subset_map, phi)
                     elif sum(map(int.bit_count, columns)) == functools.reduce(
                             or_, columns).bit_count():
                         path = "or span"
                     else:
-                        path = "0/1 sums"
+                        path = "0/1 pair"
                         assert result == outcome(boxed_extract_subset_map, phi)
                     seen.add((path, result[0]))
                     if field != F2:
@@ -297,10 +299,12 @@ def test_mask_paths_reach_every_branch():
                         rank = phi.rank()
                         assert rank == boxed_matrix_rank(phi.rows)
                         seen.add(("rank", rank == d))
-    assert {("xor span", "result"), ("or span", "result"), ("0/1 sums", "refuted"),
+    assert {("xor span", "result"), ("or span", "result"), ("0/1 pair", "refuted"),
+            ("non-0/1 column", "refuted"),
             ("unit scan", True), ("unit scan", False), ("strong scan", True),
             ("strong scan", False), ("rank", True), ("rank", False)} <= seen
-    assert ("0/1 sums", "result") not in seen
+    assert ("0/1 pair", "result") not in seen
+    assert ("non-0/1 column", "result") not in seen
 
 
 @given(instances(RING_FIELDS))

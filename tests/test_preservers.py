@@ -46,7 +46,7 @@ from incalg.preservers import (
     find_jordan_counterexample,
     find_nonpreserved_unit,
     find_strongness_counterexample,
-    spanning_idempotents,
+    iter_idempotents,
 )
 
 from conftest import F2, F3, F5, POSET_POOL, Q, RING_FIELDS, scalars
@@ -271,10 +271,17 @@ def test_preserves_idempotents():
         preserves_idempotents(LinearMap.identity(CHAIN2, Q))
 
 
-def test_spanning_family_members_are_idempotent():
-    for field in (F2, F3, Q):
-        for e in spanning_idempotents(CHAIN3, field):
-            assert e.is_idempotent()
+def test_idempotent_scan_refuses_beyond_its_gate():
+    """chain:3 over Fp 11 has 11^6 = 1,771,561 elements, over the scan gate:
+    the verdict is refused, not settled on a subfamily, and the stream of
+    idempotents refuses on its own."""
+    phi = LinearMap.identity(CHAIN3, PrimeField(11))
+    with pytest.raises(GateError) as info:
+        preserves_idempotents(phi)
+    assert info.value.size == 11**6
+    assert "1771561 cases" in str(info.value)
+    with pytest.raises(GateError):
+        next(iter_idempotents(CHAIN3, PrimeField(11)))
 
 
 def test_round_trip_exhaustive_tiny_and_randomized():
@@ -340,12 +347,29 @@ def test_extracted_endo_structure_matches_field_regime():
 
 
 def test_gate_errors():
+    """The pattern scans gate on their own counts: chain:7 over Fp 11 has
+    10^7 nonzero diagonal patterns."""
     big = builtin_poset("chain:7")
-    with pytest.raises(GateError):
-        preserves_invertibility(LinearMap.identity(big, F3))
+    with pytest.raises(GateError) as info:
+        preserves_invertibility(LinearMap.identity(big, PrimeField(11)))
+    assert info.value.size == 10**7
     five = builtin_poset("chain:5")
     with pytest.raises(GateError):
         preserves_inverses(LinearMap.identity(five, F3))
+
+
+def test_strongness_gate_comes_before_its_precondition_scan(monkeypatch):
+    """antichain:3 over Fp 101: 101^3 strongness patterns are over the gate,
+    so the 100^3-pattern preserver scan of the precondition never runs."""
+    from incalg import preservers
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("preserver scan run before the strongness gate")
+
+    monkeypatch.setattr(preservers, "find_nonpreserved_unit", refuse)
+    with pytest.raises(GateError) as info:
+        is_strong(LinearMap.identity(ANTI3, PrimeField(101)))
+    assert info.value.size == 101**3
 
 
 def test_diagonal_scans_gate_before_listing_the_field(monkeypatch):

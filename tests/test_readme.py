@@ -11,9 +11,8 @@ from pathlib import Path
 import pytest
 
 from incalg.cli import main
-from incalg.endos import ENUMERATION_CAP
 from incalg.posets import ALGEBRA_SIZE_CAP
-from incalg.preservers import IDEMPOTENT_SCAN_CAP, INVERSE_CAP_X, PRESERVER_CAP_X, SCAN_CAP
+from incalg.preservers import INVERSE_CAP_X, SCAN_CAP
 from incalg.verify import CENSUS_SPACE_CAP
 
 README = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
@@ -87,10 +86,10 @@ def test_gate_table_states_the_caps():
     expected = [
         ("operation", "gate"),
         ("algebra construction", f"`n <= {ALGEBRA_SIZE_CAP}`"),
-        ("endomorphism streams", f"`n <= {ENUMERATION_CAP}`"),
-        ("preserver / strongness scans", f"`n <= {PRESERVER_CAP_X}`, `<= {scan}` cases"),
+        ("preserver / strongness scans", f"`(q-1)^n`, `q^n <= {scan}` patterns"),
         ("inverse-preservation scan", f"`n <= {INVERSE_CAP_X}`, `<= {scan}` units"),
-        ("idempotent scan", f"`q^d <= {power_of_ten(IDEMPOTENT_SCAN_CAP)}`"),
+        ("idempotent scan", f"`q^d <= {scan}`"),
+        ("lemma partition law", f"`<= {scan}` partitions into `<= q` blocks"),
         ("census", f"`q^(d^2) <= {power_of_ten(CENSUS_SPACE_CAP)}`, and `(q-1)^n`, "
                    f"`q^n <= {scan}` for the per-survivor scans"),
     ]

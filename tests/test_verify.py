@@ -5,6 +5,7 @@ from itertools import product
 from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
 from incalg import (
     ClassificationError,
@@ -32,7 +33,7 @@ from incalg import (
     verify_lemma_suite,
 )
 
-from conftest import F2, F3, F5, Q
+from conftest import F2, F3, F5, POSET_POOL, PRIME_FIELDS, Q
 
 CHAIN1 = builtin_poset("chain:1")
 CHAIN2 = builtin_poset("chain:2")
@@ -489,3 +490,124 @@ def test_random_specs_respect_field_regime():
     assert isinstance(random_preserver_spec(CHAIN2, F2, rng).endo, XorEndo)
     assert isinstance(random_preserver_spec(CHAIN2, F3, rng).endo, PartitionEndo)
     assert isinstance(random_preserver_spec(CHAIN2, Q, rng).endo, PartitionEndo)
+
+
+# each scan gates its own cost ----------------------------------------------------
+
+BELL = [1, 1, 2, 5, 15, 52, 203, 877, 4140, 21147]
+
+
+def test_pruned_partitions_equal_the_filtered_stream():
+    """With ``max_blocks = n`` no branch is pruned: that stream has Bell(n)
+    members, and for every k <= 5 the pruned stream is it, filtered to at
+    most k blocks, in the same order, with the counted length."""
+    from incalg.verify import _partition_count, _set_partitions
+
+    for n in range(10):
+        full = list(_set_partitions(n, n))
+        assert len(full) == BELL[n] == _partition_count(n, n)
+        for k in range(1, 6):
+            pruned = list(_set_partitions(n, k))
+            assert pruned == [blocks for blocks in full if len(blocks) <= k]
+            assert len(pruned) == _partition_count(n, min(k, n))
+
+
+def test_partition_law_is_gated_before_the_first_trial(monkeypatch):
+    """antichain:15 over Fp 3: S(15,1) + S(15,2) + S(15,3) = 2,391,485
+    partitions, refused before any normal form is drawn."""
+    from incalg import verify
+
+    def refuse(*args):
+        raise AssertionError("a trial was drawn before the gate")
+
+    monkeypatch.setattr(verify, "random_preserver_spec", refuse)
+    with pytest.raises(GateError) as info:
+        verify_lemma_suite(builtin_poset("antichain:15"), F3, sample="randomized", trials=2)
+    assert info.value.size == 2_391_485
+    assert "partition law" in str(info.value)
+
+
+def pair_scan_is_additive(table) -> bool:
+    """The 4^n check of additivity over symmetric difference."""
+    t = table.table
+    return all(t[a ^ b] == t[a] ^ t[b] for a in range(len(t)) for b in range(len(t)))
+
+
+def test_symm_diff_law_names_a_witness_on_a_non_additive_table():
+    """antichain:2 over Fp 2, with a table that fixes X but sends {1} to
+    {1, 2} and {2} to {2}: t({1} ^ {2}) = X, but t({1}) ^ t({2}) = {1}."""
+    from incalg.endos import SubsetMapTable
+    from incalg.verify import _lemma_checks
+
+    phi = LinearMap.identity(ANTI2, F2)
+    table = SubsetMapTable(ANTI2.elements, (0, 0b11, 0b10, 0b11))
+    assert not pair_scan_is_additive(table)
+    assert _lemma_checks(phi, table, [])["lb-prese-symm-diff"] == "A = {1}, B = {2}"
+    moved = SubsetMapTable(ANTI2.elements, (0, 0b01, 0b10, 0b01))
+    assert _lemma_checks(phi, moved, [])["lb-prese-symm-diff"] == "lambda(X) != X"
+
+
+def test_symm_diff_law_agrees_with_the_pair_scan():
+    """On random tables that fix X, additivity one element at a time holds
+    exactly when the 4^n pair check does."""
+    from incalg.endos import SubsetMapTable
+    from incalg.verify import _lemma_checks
+
+    rng = random.Random(11)
+    outcomes = set()
+    for n in range(1, 5):
+        poset = builtin_poset(f"antichain:{n}")
+        phi = LinearMap.identity(poset, F2)
+        full = (1 << n) - 1
+        for _ in range(40):
+            t = list(random_preserver_spec(poset, F2, rng).endo.table().table)
+            if rng.random() < 0.5:
+                t[rng.randrange(1, full + 1)] = rng.randrange(full + 1)
+                t[full] = full
+            table = SubsetMapTable(poset.elements, tuple(t))
+            additive = pair_scan_is_additive(table)
+            assert (_lemma_checks(phi, table, [])["lb-prese-symm-diff"] is None) == additive
+            outcomes.add(additive)
+    assert outcomes == {True, False}
+
+
+# metamorphic relations -------------------------------------------------------------
+
+def compose(phi, chi):
+    """The matrix of phi after chi, on canonical values."""
+    canonical = phi.field.canonical
+    columns = list(zip(*chi.values))
+    return LinearMap._of_values(phi.poset, phi.field, tuple(
+        tuple(canonical(sum([a * b for a, b in zip(row, col) if a and b])) for col in columns)
+        for row in phi.values))
+
+
+def composed_endo(spec, other):
+    """lambda_spec after lambda_other, read off the specs: the image of each
+    singleton under ``other``, pushed through ``spec``."""
+    images = tuple(spec.endo.apply_mask(other.endo.apply_mask(1 << x))
+                   for x in range(spec.poset.n))
+    kind = XorEndo if spec.field.cardinality == 2 else PartitionEndo
+    return kind(spec.poset.elements, images)
+
+
+def check_composition(poset, field, rng):
+    spec, other = (random_preserver_spec(poset, field, rng) for _ in range(2))
+    composite = compose(build_preserver(spec), build_preserver(other))
+    assert classify(composite).endo == composed_endo(spec, other)
+
+
+@given(st.sampled_from(POSET_POOL), st.sampled_from(PRIME_FIELDS + [Q]),
+       st.integers(0, 2**32 - 1))
+def test_composition_classifies_with_the_composed_endomorphism(poset, field, seed):
+    """phi o phi' is a unital preserver whose lambda is lambda_phi o
+    lambda_phi', since the diagonal of phi(e_A) is e_lambda(A)."""
+    check_composition(poset, field, random.Random(seed))
+
+
+@pytest.mark.parametrize("name, field", [("chain:7", F3), ("antichain:8", F2),
+                                         ("chain:12", Q)])
+def test_composition_beyond_six_elements(name, field):
+    """The same relation beyond the pool, at n = 7 and 8 over prime fields
+    and at chain:12 over Q (composing its 78 x 78 matrices takes about 1 s)."""
+    check_composition(builtin_poset(name), field, random.Random(5))
