@@ -6,15 +6,19 @@ scalar order, by the filter "unital and preserves invertibility". The
 filter is a conjunction of single-row conditions, so it is applied row by
 row: the survivors are the product of the admissible rows, and no matrix
 of the q^(d^2) space is skipped or decided by the theorem side. Each
-survivor is classified into its normal form, and the survivor count is
+survivor is recorded with its normal form, and the survivor count is
 cross-checked against the count predicted by the normal-form
-parametrization. The matrix space can be split into index ranges and
-partial censuses merged, so runs are resumable and deterministic.
+parametrization. The survivors come in runs that share their
+diagonal-output rows, and what those rows alone decide (the power-set
+endomorphism and strongness) is derived once per run. The matrix space can
+be split into index ranges and partial censuses merged, so runs are
+resumable and deterministic.
 
 The exhaustive lemma suite walks the same survivors under the same gate,
-but neither classifies nor records them. Each law is derived once per
-instance: the subset table is extracted once and passed to the laws that
-read it, ``vf-maps-J-to-J`` reads the radical columns of the matrix, and
+but neither classifies nor records them. The laws read only the
+diagonal-output rows, so they are derived once per run of instances that
+share those rows: the subset table is extracted once and passed to the laws
+that read it, ``vf-maps-J-to-J`` reads the radical columns of the matrix, and
 the element-level laws run on coefficient tuples of canonical values.
 """
 
@@ -52,7 +56,6 @@ from .preservers import (
     is_jordan_endo,
     is_strong,
     iter_idempotents,
-    preserves_idempotents,
     preserves_inverses,
     preserves_invertibility,
     psi_to_json,
@@ -297,8 +300,9 @@ def enumerate_preservers(poset: Poset, field: PrimeField, start: int = 0,
 
     Decides every one of the q^(d^2) matrices (or of the index range
     [start, stop)) by the unital/preserver filter, applied row by row;
-    the q^(d^2) gate is unchanged. Each survivor is classified and recorded
-    with its normal form, strongness and bijectivity.
+    the q^(d^2) gate is unchanged. Each survivor is recorded with its normal
+    form, strongness and bijectivity; survivors that share their
+    diagonal-output rows share one classification and one strongness scan.
     """
     t0 = time.perf_counter()
     space = _census_gate(poset, field, gate_override)
@@ -306,15 +310,31 @@ def enumerate_preservers(poset: Poset, field: PrimeField, start: int = 0,
         stop = space
     if not 0 <= start <= stop <= space:
         raise IncalgError(f"bad census range [{start}, {stop}) for space {space}")
+    n = poset.n
     records = []
+    # The row filter makes every diagonal-output row zero on the radical
+    # columns and every radical-output row sum to 0 on the diagonal. Given
+    # that, all that classify and is_strong decide reads only rows[:n]:
+    # apply(delta), the subset table and the lambda laws, the rebuilt
+    # diagonal rows (the rebuilt radical rows are phi's own), both stages
+    # of the preserver scan and the q^n strongness scan. The product varies
+    # those rows slowest, so survivors sharing them form one contiguous run;
+    # its later survivors reuse the run's endomorphism and strongness with
+    # their own radical map. Bijectivity reads the radical block too.
+    head = None
     for index, rows in _iter_preserver_matrices(poset, field, start, stop):
         phi = LinearMap._of_values(poset, field, rows)
-        spec = classify(phi, gate_override=gate_override, assume_preserver=True)
+        if rows[:n] != head:
+            head = rows[:n]
+            spec = classify(phi, gate_override=gate_override, assume_preserver=True)
+            strong = is_strong(phi, gate_override=gate_override)
+        else:
+            spec = PreserverSpec(poset, field, spec.endo, extract_radical_map(phi))
         records.append(MapRecord(
             index=index,
             matrix=rows,
             spec=spec,
-            strong=is_strong(phi, gate_override=gate_override),
+            strong=strong,
             bijective=phi.is_bijective(),
         ))
     return CensusReport(
@@ -487,8 +507,9 @@ def verify_lemma_suite(poset: Poset, field: PrimeField,
     ``map #<index>`` labels) without classifying or recording them;
     ``randomized`` draws ``trials`` normal forms with the given seed,
     verifies each against the brute-force preserver oracle, and then checks
-    the laws. Each instance's subset table is extracted once, and a failed
-    extraction raises. Element-level laws scan all q^d elements when feasible
+    the laws. The subset table and the laws are derived once per run of
+    instances with equal diagonal-output rows, and a failed extraction
+    raises. Element-level laws scan all q^d elements when feasible
     and a seeded sample otherwise. The partition law reads every partition
     of X into at most |K| blocks, and their count is gated before the first
     instance is built.
@@ -521,9 +542,13 @@ def verify_lemma_suite(poset: Poset, field: PrimeField,
     else:
         raise ValueError(f"unknown sample mode {sample!r}")
     verdicts = []
+    # the table and every law read only the diagonal-output rows, so a run
+    # of instances that share them (a run of census survivors) shares checks
+    head = None
     for instance, phi in instances:
-        table = extract_subset_map(phi)
-        checks = _lemma_checks(phi, table, values)
+        if phi.values[:n] != head:
+            head = phi.values[:n]
+            checks = _lemma_checks(phi, extract_subset_map(phi), values)
         for lemma, witness in checks.items():
             verdicts.append(LemmaVerdict(lemma, instance, witness is None, witness))
     return verdicts
@@ -634,6 +659,7 @@ def verify_inverse_preserver_results(poset: Poset, field: PrimeField,
     space = _census_gate(poset, field, gate_override)
     verdicts = []
     delta = FIElement.delta(poset, field)
+    idempotents = list(iter_idempotents(poset, field, gate_override=gate_override))
     inverse_preserver_count = 0
     for index, rows in _iter_preserver_matrices(poset, field, 0, space):
         phi = LinearMap._of_values(poset, field, rows)
@@ -646,15 +672,15 @@ def verify_inverse_preserver_results(poset: Poset, field: PrimeField,
         if not ip:
             continue
         inverse_preserver_count += 1
+        images = [phi.apply(e) for e in idempotents]
         verdicts.append(LemmaVerdict(
             "vf-pres-inverses=>vf(1)vf-pres-idemp", instance,
-            preserves_idempotents(phi, gate_override=gate_override)))
+            all(fe.is_idempotent() for fe in images)))
         image_delta = phi.apply(delta)
         verdicts.append(LemmaVerdict(
             "vf(1_A)^2=1_B", instance, image_delta * image_delta == delta))
         witness = None
-        for e in iter_idempotents(poset, field, gate_override=gate_override):
-            fe = phi.apply(e)
+        for e, fe in zip(idempotents, images):
             if not (fe * image_delta == image_delta * fe == fe * fe):
                 witness = f"e = {format_element(e)}"
                 break

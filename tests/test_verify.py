@@ -1,7 +1,7 @@
 import importlib.util
 import random
 import sys
-from itertools import product
+from itertools import groupby, product
 from pathlib import Path
 
 import pytest
@@ -25,6 +25,7 @@ from incalg import (
     count_from_theorem,
     enumerate_preservers,
     enumerate_specs,
+    is_strong,
     merge_census,
     random_preserver_spec,
     reproduce_example,
@@ -32,6 +33,8 @@ from incalg import (
     verify_inverse_preserver_results,
     verify_lemma_suite,
 )
+
+from incalg.verify import CENSUS_SPACE_CAP
 
 from conftest import F2, F3, F5, POSET_POOL, PRIME_FIELDS, Q
 
@@ -221,6 +224,70 @@ def test_census_split_and_merge_matches_full_run():
         merge_census(part2, part1)
 
 
+# every pool poset whose census space is within the cap, over F2, F3 and F5
+CENSUS_POOL = [(poset, field) for poset in POSET_POOL for field in (F2, F3, F5)
+               if field.p ** (poset.dimension ** 2) <= CENSUS_SPACE_CAP]
+
+
+@pytest.mark.parametrize("poset,field", CENSUS_POOL,
+                         ids=[_census_key(p, f) for p, f in CENSUS_POOL])
+def test_census_records_equal_the_per_survivor_reference(poset, field):
+    """A run of survivors shares one classify and one strongness scan; each
+    record still equals both run on its own survivor."""
+    report = enumerate_preservers(poset, field)
+    assert report.consistent
+    for rec in report.records:
+        phi = LinearMap._of_values(poset, field, rec.matrix)
+        assert rec.spec == classify(phi, assume_preserver=True)
+        assert rec.strong == is_strong(phi)
+        assert rec.bijective == phi.is_bijective()
+
+
+def _without_elapsed(report) -> dict:
+    return {k: v for k, v in report.to_json().items() if k != "elapsed_seconds"}
+
+
+def test_census_split_inside_a_run_matches_full_run():
+    """A range that begins mid-run classifies its first survivor, so a split
+    at any survivor of the first two runs, or just after it, merges back to
+    the full census."""
+    full = enumerate_preservers(CHAIN2, F3)
+    runs = [list(run) for _, run in groupby(full.records,
+                                            key=lambda rec: rec.matrix[:CHAIN2.n])]
+    assert [len(run) for run in runs] == [9] * 4  # 4 blocks, 9 radical maps each
+    first_two = [rec.index for run in runs[:2] for rec in run]
+    for index in first_two:
+        for split in (index, index + 1):
+            merged = merge_census(enumerate_preservers(CHAIN2, F3, stop=split),
+                                  enumerate_preservers(CHAIN2, F3, start=split))
+            assert _without_elapsed(merged) == _without_elapsed(full)
+
+
+def test_census_classifies_once_per_run(monkeypatch):
+    """classify and is_strong run once per run of survivors with equal
+    diagonal-output rows, and rank once per survivor."""
+    from collections import Counter
+
+    import incalg.verify as verify
+
+    calls = Counter()
+
+    def counting(name, function):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return function(*args, **kwargs)
+        return counted
+
+    monkeypatch.setattr(verify, "classify", counting("classify", verify.classify))
+    monkeypatch.setattr(verify, "is_strong", counting("is_strong", verify.is_strong))
+    monkeypatch.setattr(LinearMap, "rank", counting("rank", LinearMap.rank))
+    assert enumerate_preservers(CHAIN2, F5).oracle_count == 100
+    assert calls == {"classify": 4, "is_strong": 4, "rank": 100}
+    calls.clear()
+    assert enumerate_preservers(builtin_poset("v"), F2).oracle_count == 16384
+    assert calls["classify"] == 64
+
+
 def test_census_records_carry_normal_forms():
     report = enumerate_preservers(CHAIN2, F2)
     for rec in report.records:
@@ -276,8 +343,8 @@ def test_lemma_suite_randomized_on_wider_posets():
 
 def test_lemma_suite_exhaustive_reads_each_survivor_once(monkeypatch):
     """The exhaustive suite walks the census survivors without classifying,
-    recording, ranking or applying them, and extracts each subset table
-    once."""
+    recording, ranking or applying them, and extracts one subset table per
+    run of survivors that share their diagonal-output rows."""
     from incalg import preservers, verify
 
     def refuse(name):
@@ -302,7 +369,7 @@ def test_lemma_suite_exhaustive_reads_each_survivor_once(monkeypatch):
     monkeypatch.setattr(verify, "extract_subset_map", counting)
     verdicts = verify_lemma_suite(CHAIN2, F3)
     assert len(verdicts) == 36 * 7 and all(v.passed for v in verdicts)
-    assert len(extracted) == 36
+    assert len(extracted) == 4
     assert len({v.instance for v in verdicts}) == 36
 
 
