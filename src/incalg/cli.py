@@ -77,12 +77,6 @@ def _print_verdicts(args, verdicts) -> int:
     return 0 if all(v.passed for v in verdicts) else 1
 
 
-def _warn_gate_override(args):
-    if getattr(args, "gate_override", False):
-        print("warning: gate override active; wall-clock time is unbounded",
-              file=sys.stderr)
-
-
 def cmd_build(args) -> int:
     spec = parse_preserver_spec(_read(args.spec))
     phi = build_preserver(spec)
@@ -104,10 +98,9 @@ def _load_map(args):
 
 
 def cmd_classify(args) -> int:
-    _warn_gate_override(args)
     phi = _load_map(args)
     try:
-        spec = classify(phi, gate_override=args.gate_override)
+        spec = classify(phi)
     except ClassificationError as exc:
         if args.json:
             _emit_json(args, {
@@ -135,7 +128,6 @@ def cmd_classify(args) -> int:
 
 
 def cmd_check(args) -> int:
-    _warn_gate_override(args)
     phi = _load_map(args)
     report = analyze_map(phi, gate_override=args.gate_override)
     if args.json:
@@ -153,7 +145,6 @@ def cmd_check(args) -> int:
 
 
 def cmd_census(args) -> int:
-    _warn_gate_override(args)
     poset = resolve_poset(args.poset)
     field = _field_of(args)
     report = enumerate_preservers(poset, field, start=args.start, stop=args.stop,
@@ -178,7 +169,6 @@ def cmd_census(args) -> int:
 
 
 def cmd_lemmas(args) -> int:
-    _warn_gate_override(args)
     poset = resolve_poset(args.poset)
     field = _field_of(args)
     verdicts = verify_lemma_suite(
@@ -188,7 +178,6 @@ def cmd_lemmas(args) -> int:
 
 
 def cmd_criteria(args) -> int:
-    _warn_gate_override(args)
     spec = parse_preserver_spec(_read(args.spec))
     verdicts = verify_criteria(spec, gate_override=args.gate_override)
     return _print_verdicts(args, verdicts)
@@ -201,7 +190,6 @@ def cmd_examples(args) -> int:
 
 
 def cmd_inverse_suite(args) -> int:
-    _warn_gate_override(args)
     from .verify import verify_inverse_preserver_results
 
     poset = resolve_poset(args.poset)
@@ -218,16 +206,16 @@ def build_parser() -> argparse.ArgumentParser:
                     "classification of their unital invertibility preservers.")
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    def add_common(p, out=True):
+    def add_common(p, gate=True):
         p.add_argument("--json", action="store_true", help="emit a JSON report")
-        if out:
-            p.add_argument("--out", help="write the report to this path")
-        p.add_argument("--gate-override", action="store_true",
-                       help="lift the size gates (wall-clock warning)")
+        p.add_argument("--out", help="write the report to this path")
+        if gate:
+            p.add_argument("--gate-override", action="store_true",
+                           help="lift the size gates (wall-clock warning)")
 
     p = sub.add_parser("build", help="assemble a linear map from a normal-form file")
     p.add_argument("--spec", required=True, help="preserver-spec file")
-    add_common(p)
+    add_common(p, gate=False)
     p.set_defaults(handler=cmd_build)
 
     for verb, handler, help_text in (
@@ -237,7 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--map", required=True, help="linear-map file")
         p.add_argument("--poset", help="builtin literal or poset file (cross-check)")
         p.add_argument("--field", nargs="+", help="field literal (cross-check)")
-        add_common(p)
+        add_common(p, gate=verb == "check")
         p.set_defaults(handler=handler)
 
     p = sub.add_parser("census", help="brute-force census against the predicted count")
@@ -273,7 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("examples", help="reproduce the pinned counterexamples")
     p.add_argument("id", nargs="?", choices=list(EXAMPLE_IDS),
                    help="run one example (default: all)")
-    add_common(p)
+    add_common(p, gate=False)
     p.set_defaults(handler=cmd_examples)
 
     return parser
@@ -282,6 +270,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if getattr(args, "gate_override", False):
+        print("warning: gate override active; wall-clock time is unbounded",
+              file=sys.stderr)
     try:
         return args.handler(args)
     except OSError as exc:

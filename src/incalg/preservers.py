@@ -16,6 +16,8 @@ in two stages:
      This works over every field, including F_2.
 (ii) given (i), the image diagonal depends only on the input diagonal, so
      scanning all (q-1)^n nonzero diagonal patterns decides the property.
+The strongness and inverse scans need a preserver: ``is_strong`` and
+``preserves_inverses`` check it, and the ``find_*`` scans trust their caller.
 """
 
 from __future__ import annotations
@@ -381,19 +383,15 @@ def find_strongness_counterexample(phi: LinearMap,
                                    gate_override: bool = False) -> FIElement | None:
     """A non-unit whose image is a unit, or None if the preserver is strong.
 
-    Requires a unital invertibility preserver; the scan runs over all q^n
-    diagonal patterns, which suffices because stage (i) of the preserver
-    check makes image diagonals depend on input diagonals only.
+    Requires, unchecked, a unital invertibility preserver; the scan runs over
+    all q^n diagonal patterns, which suffices because stage (i) of the
+    preserver check makes image diagonals depend on input diagonals only.
     """
     field = _require_prime(phi, "is_strong")
     poset = phi.poset
     n = poset.n
     p = field.p
-    # gated before the precondition, whose (p-1)^n patterns are fewer, so
-    # that a refused run scans nothing
     _gate(p ** n, "is_strong", gate_override)
-    if not phi.is_unital() or not preserves_invertibility(phi, gate_override=gate_override):
-        raise ValueError("is_strong requires a unital invertibility preserver")
     if p == 2:
         # product order reads the first coordinate of a pattern as its top
         # bit, so the XOR span of the reversed columns lists the image
@@ -414,37 +412,46 @@ def find_strongness_counterexample(phi: LinearMap,
 
 
 def is_strong(phi: LinearMap, gate_override: bool = False) -> bool:
+    """Checks the scan's precondition after its q^n gate (the (q-1)^n
+    preserver patterns are fewer), so that a refused call scans nothing."""
+    _gate(_require_prime(phi, "is_strong").p ** phi.poset.n, "is_strong", gate_override)
+    if not phi.is_unital() or not preserves_invertibility(phi, gate_override=gate_override):
+        raise ValueError("is_strong requires a unital invertibility preserver")
     return find_strongness_counterexample(phi, gate_override=gate_override) is None
 
 
-def _iter_units(poset: Poset, field: PrimeField):
-    n, d = poset.n, poset.dimension
-    nonzero = field.elements()[1:]
-    rad = field.elements()
-    for diag in product(nonzero, repeat=n):
-        for tail in product(rad, repeat=d - n):
-            yield FIElement(poset, field, diag + tail)
-
-
-def find_inverse_counterexample(phi: LinearMap,
-                                gate_override: bool = False) -> FIElement | None:
-    """A unit u with phi(u^-1) != phi(u)^-1, or None (exhaustive over units)."""
+def _units(phi: LinearMap, gate_override: bool):
+    """The units of I(X,K), streamed; refused beyond |X| <= INVERSE_CAP_X or
+    SCAN_CAP units."""
     field = _require_prime(phi, "preserves_inverses")
     poset = phi.poset
     n, d = poset.n, poset.dimension
     if n > INVERSE_CAP_X and not gate_override:
         raise GateError(f"preserves_inverses capped at |X| <= {INVERSE_CAP_X}", size=n)
-    if not preserves_invertibility(phi, gate_override=gate_override):
-        raise ValueError("preserves_inverses requires an invertibility preserver")
     q = field.p
     _gate((q - 1) ** n * q ** (d - n), "preserves_inverses", gate_override)
-    for u in _iter_units(poset, field):
+    values = field.elements()
+    return (FIElement(poset, field, diag + tail)
+            for diag in product(values[1:], repeat=n)
+            for tail in product(values, repeat=d - n))
+
+
+def find_inverse_counterexample(phi: LinearMap,
+                                gate_override: bool = False) -> FIElement | None:
+    """A unit u with phi(u^-1) != phi(u)^-1, or None (exhaustive over units).
+    Requires, unchecked, an invertibility preserver, unital or not."""
+    for u in _units(phi, gate_override):
         if phi.apply(u.inverse()) != phi.apply(u).inverse():
             return u
     return None
 
 
 def preserves_inverses(phi: LinearMap, gate_override: bool = False) -> bool:
+    """Checks the scan's precondition after its gates, so that a refused
+    call scans nothing."""
+    _units(phi, gate_override)
+    if not preserves_invertibility(phi, gate_override=gate_override):
+        raise ValueError("preserves_inverses requires an invertibility preserver")
     return find_inverse_counterexample(phi, gate_override=gate_override) is None
 
 
@@ -530,8 +537,12 @@ def _parse_header(lines: list[tuple[int, str]], kind: str,
     while at < len(lines) and (field is None or poset is None):
         lineno, line = lines[at]
         if line.startswith("field:"):
+            if field is not None:
+                raise ParseError("duplicate 'field:' line", lineno)
             field = parse_field(line[len("field:"):].strip())
         elif line.startswith("poset:"):
+            if poset is not None:
+                raise ParseError("duplicate 'poset:' line", lineno)
             poset = poset_resolver(line[len("poset:"):].strip())
         else:
             raise ParseError(f"expected 'field:' or 'poset:' line, got {line!r}", lineno)

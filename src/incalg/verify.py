@@ -51,8 +51,10 @@ from .preservers import (
     build_preserver,
     extract_radical_map,
     extract_subset_map,
+    find_inverse_counterexample,
     find_jordan_counterexample,
     find_nonpreserved_unit,
+    find_strongness_counterexample,
     is_jordan_endo,
     is_strong,
     iter_idempotents,
@@ -156,30 +158,22 @@ def merge_census(a: CensusReport, b: CensusReport) -> CensusReport:
 
 # classification ---------------------------------------------------------------
 
-def classify(phi: LinearMap, gate_override: bool = False,
-             assume_preserver: bool = False) -> PreserverSpec:
-    """Recover the normal form of a unital invertibility preserver.
+def classify(phi: LinearMap) -> PreserverSpec:
+    """Recover the normal form of a unital invertibility preserver, or refute
+    that ``phi`` is one.
 
-    Over a prime field the preserver property is verified by the exhaustive
-    oracle first (unless ``assume_preserver``). Over the rationals it is
-    taken as asserted, and classification doubles as verification: any
-    structural failure refutes the assertion. Every refutation names the
-    violated law and carries a witness. ``gate_override`` lifts the gates of
-    the prime-field oracle; the subset table has no gate below the algebra's
-    own cap.
+    The decision is the same on every field: extract the power-set
+    endomorphism and the radical map, rebuild, and compare. An accepted map
+    equals the rebuilt normal form, which is always a preserver; a
+    refutation rests on the normal-form theorem, which holds for an
+    arbitrary field. Every refutation names the violated law, and carries a
+    witness where one is cheap to name. No scan runs, so no gate applies
+    below the algebra's own cap.
     """
     delta = FIElement.delta(phi.poset, phi.field)
     if phi.apply(delta) != delta:
         raise ClassificationError("unital", "the map does not fix the identity",
                                   witness=format_element(phi.apply(delta)))
-    if isinstance(phi.field, PrimeField) and not assume_preserver:
-        bad = find_nonpreserved_unit(phi, gate_override=gate_override)
-        if bad is not None:
-            raise ClassificationError(
-                "vf(U(A))-sst-U(B)",
-                f"unit {format_element(bad)} maps to the non-unit "
-                f"{format_element(phi.apply(bad))}",
-                witness=format_element(bad))
     table = extract_subset_map(phi)
     if phi.field.cardinality == 2:
         endo: PartitionEndo | XorEndo = to_xor_endo(table)
@@ -326,7 +320,7 @@ def enumerate_preservers(poset: Poset, field: PrimeField, start: int = 0,
         phi = LinearMap._of_values(poset, field, rows)
         if rows[:n] != head:
             head = rows[:n]
-            spec = classify(phi, gate_override=gate_override, assume_preserver=True)
+            spec = classify(phi)
             strong = is_strong(phi, gate_override=gate_override)
         else:
             spec = PreserverSpec(poset, field, spec.endo, extract_radical_map(phi))
@@ -606,7 +600,8 @@ def verify_criteria(spec: PreserverSpec,
     phi = build_preserver(spec)
     instance = (f"spec on {spec.poset.display_name} over {format_field(spec.field)}: "
                 f"{format_endo(spec.endo)}")
-    strong = is_strong(phi, gate_override=gate_override)
+    # a normal form's rebuild is a unital preserver, as the scan requires
+    strong = find_strongness_counterexample(phi, gate_override=gate_override) is None
     injective = spec.endo.is_injective()
     strong_key = ("vf-strong<=>lb-injective" if spec.field.cardinality == 2
                   else "vf-strong<=>lb(A)-nonempty")
@@ -657,6 +652,7 @@ def verify_inverse_preserver_results(poset: Poset, field: PrimeField,
         return [note, reproduce_example("z2-not-jordan")]
 
     space = _census_gate(poset, field, gate_override)
+    # the row filter admits only preservers, as the inverse scan requires
     verdicts = []
     delta = FIElement.delta(poset, field)
     idempotents = list(iter_idempotents(poset, field, gate_override=gate_override))
@@ -664,7 +660,7 @@ def verify_inverse_preserver_results(poset: Poset, field: PrimeField,
     for index, rows in _iter_preserver_matrices(poset, field, 0, space):
         phi = LinearMap._of_values(poset, field, rows)
         instance = f"map #{index} on {poset.display_name} over {format_field(field)}"
-        ip = preserves_inverses(phi, gate_override=gate_override)
+        ip = find_inverse_counterexample(phi, gate_override=gate_override) is None
         je = is_jordan_endo(phi)
         verdicts.append(LemmaVerdict(
             "vf-pres-inverses=>vf-Jordan-homo", instance, ip == je,
@@ -698,7 +694,7 @@ def verify_inverse_preserver_results(poset: Poset, field: PrimeField,
             phi = LinearMap._of_values(poset, field, rows)
             if not phi.is_bijective():
                 continue
-            if not preserves_inverses(phi, gate_override=gate_override):
+            if find_inverse_counterexample(phi, gate_override=gate_override) is not None:
                 continue
             instance = (f"bijective inverse preserver #{index} on "
                         f"{poset.display_name} over {format_field(field)}")
@@ -831,10 +827,10 @@ def analyze_map(phi: LinearMap, gate_override: bool = False) -> dict:
 
     Over the rationals the brute-force scans are impossible; preserver-ness
     is decided by classification, strongness by the injectivity criterion,
-    and inverse preservation by the Jordan criterion (char 0).
+    and inverse preservation by the Jordan criterion (char 0). Over a prime
+    field the preserver scan runs once, and the strongness and inverse scans
+    that follow trust its verdict.
     """
-    from .preservers import find_strongness_counterexample
-
     report: dict = {
         "poset": phi.poset.display_name,
         "field": format_field(phi.field),
@@ -855,7 +851,7 @@ def analyze_map(phi: LinearMap, gate_override: bool = False) -> dict:
                 f"unit {format_element(bad)} maps to non-unit "
                 f"{format_element(phi.apply(bad))}")
         if verdicts["preserver"] and verdicts["unital"]:
-            spec = classify(phi, gate_override=gate_override, assume_preserver=True)
+            spec = classify(phi)
             try:
                 counter = find_strongness_counterexample(phi, gate_override=gate_override)
             except GateError as exc:
@@ -871,8 +867,8 @@ def analyze_map(phi: LinearMap, gate_override: bool = False) -> dict:
         if verdicts["preserver"]:
             # inverse preservation makes sense for non-unital preservers too
             try:
-                verdicts["inverse_preserving"] = preserves_inverses(
-                    phi, gate_override=gate_override)
+                verdicts["inverse_preserving"] = find_inverse_counterexample(
+                    phi, gate_override=gate_override) is None
             except GateError as exc:
                 verdicts["inverse_preserving"] = None
                 report["witnesses"]["inverse_preserving"] = f"undecided: {exc}"
@@ -882,7 +878,7 @@ def analyze_map(phi: LinearMap, gate_override: bool = False) -> dict:
     else:
         if verdicts["unital"]:
             try:
-                spec = classify(phi, gate_override=gate_override)
+                spec = classify(phi)
                 verdicts["preserver"] = True
             except ClassificationError as exc:
                 verdicts["preserver"] = False

@@ -100,20 +100,21 @@ def _make_map(kind: str, poset, field, rng: random.Random) -> LinearMap:
     return LinearMap.from_rows(poset, field, rows)
 
 
-def golden_entries() -> list[dict]:
-    entries = []
+def golden_maps():
+    """Yield (seed, kind, map) for every pinned map, seeds counting up from 0."""
     seed = 0
     for field in FIELDS:
         for name in POSETS:
             poset = builtin_poset(name)
             for kind in KINDS:
-                rng = random.Random(seed)
-                phi = _make_map(kind, poset, field, rng)
-                entries.append({"seed": seed, "kind": kind,
-                                "map": format_linear_map(phi),
-                                "report": analyze_map(phi)})
+                yield seed, kind, _make_map(kind, poset, field, random.Random(seed))
                 seed += 1
-    return entries
+
+
+def golden_entries() -> list[dict]:
+    return [{"seed": seed, "kind": kind, "map": format_linear_map(phi),
+             "report": analyze_map(phi)}
+            for seed, kind, phi in golden_maps()]
 
 
 if __name__ == "__main__":

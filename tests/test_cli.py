@@ -1,7 +1,17 @@
 import json
+import random
 from pathlib import Path
 
-from incalg import LinearMap, PrimeField, builtin_poset, format_linear_map
+import pytest
+
+from incalg import (
+    LinearMap,
+    PrimeField,
+    build_preserver,
+    builtin_poset,
+    format_linear_map,
+    random_preserver_spec,
+)
 from incalg.cli import main
 
 DATA = Path(__file__).parent / "data"
@@ -97,8 +107,9 @@ def test_classify_refutation_exits_one(tmp_path, capsys):
     assert code == 1
     report = json.loads(out)
     assert report["classified"] is False
-    assert report["law"] == "vf(U(A))-sst-U(B)"
-    assert report["witness"]
+    # a diagonal row reads a radical column: the rebuild refutes, as over Q
+    assert report["law"] == "inv-pres-for-|K|>2"
+    assert report["witness"] is None
 
 
 def test_check_verb(tmp_path, capsys):
@@ -200,6 +211,22 @@ def test_parse_error_exits_two(tmp_path, capsys):
     captured = capsys.readouterr()
     assert code == 2
     assert "line 3" in captured.err
+
+
+@pytest.mark.parametrize("line", ["field", "poset"])
+def test_duplicate_header_line_exits_two(tmp_path, capsys, line):
+    """Over Fp 5 this map would classify; the file declares Fp 3 first."""
+    header = {"field": "field: Fp 3\nfield: Fp 5\nposet: chain:2\n",
+              "poset": "poset: chain:3\nposet: chain:2\nfield: Fp 5\n"}[line]
+    map_path = tmp_path / "map.txt"
+    map_path.write_text("map\n" + header + "1 0 0\n0 1 0\n0 0 1\n")
+    spec_path = tmp_path / "spec.txt"
+    spec_path.write_text("preserver-spec\n" + header + "lambda: 1->{1} 2->{2}\npsi:\n0 0 0\n")
+    for argv in (["classify", "--map", str(map_path)], ["build", "--spec", str(spec_path)]):
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code == 2, argv
+        assert err == f"error: line 3: duplicate '{line}:' line\n"
 
 
 def test_missing_file_exits_two(capsys):
@@ -307,10 +334,11 @@ def test_classify_reaches_the_algebra_cap_without_override(tmp_path, capsys):
 
 
 def test_classify_beyond_the_algebra_cap_is_bad_input(tmp_path, capsys):
-    """The n <= 16 algebra cap is fixed: ``--gate-override`` does not lift it."""
+    """The n <= 16 algebra cap is fixed: ``--gate-override`` does not lift it
+    (``classify`` has no gate to lift, so ``check`` carries the flag)."""
     map_path = identity_map_file(tmp_path, 17)
-    for flags in ([], ["--gate-override"]):
-        code = main(["classify", "--map", str(map_path), *flags])
+    for argv in (["classify"], ["check", "--gate-override"]):
+        code = main([*argv, "--map", str(map_path)])
         assert code == 2
         assert capsys.readouterr().err.endswith(
             "error: poset too large for algebra construction: 17 elements > cap 16\n")
@@ -386,6 +414,33 @@ def test_fp_identities_beyond_six_elements_need_no_override(tmp_path, capsys):
         assert code == 0, (poset, n, p)
         verdicts = json.loads(out)["verdicts"]
         assert verdicts["preserver"] and verdicts["strong"] and verdicts["jordan"]
+
+
+def test_classify_decides_beyond_the_scan_gates(tmp_path, capsys):
+    """classify runs no unit scan on any field, so it decides maps whose
+    (q-1)^n patterns are beyond the scan cap with no flag, while check still
+    refuses them: a seeded preserver on chain:5 over Fp 31 classifies, and
+    a copy with 2 moved between two entries of a diagonal row (its row sum
+    kept) is refuted."""
+    for poset, p in (("antichain:5", 31), ("antichain:16", 5)):
+        map_path = str(fp_identity_map_file(tmp_path, poset, p))
+        code, out = run(capsys, "classify", "--map", map_path)
+        assert code == 0, poset
+        assert out.startswith("unital invertibility preserver\n")
+    assert main(["check", "--map", map_path]) == 2
+    assert "would scan 4294967296 cases" in capsys.readouterr().err
+    chain5, f31 = builtin_poset("chain:5"), PrimeField(31)
+    phi = build_preserver(random_preserver_spec(chain5, f31, random.Random(3)))
+    rows = [list(row) for row in phi.values]
+    rows[0][0] += 2
+    rows[0][1] -= 2
+    for values, expected in ((phi.values, 0), (rows, 1)):
+        map_path = tmp_path / f"chain5-{expected}.txt"
+        map_path.write_text(format_linear_map(LinearMap.from_rows(chain5, f31, values)))
+        code, out = run(capsys, "classify", "--map", str(map_path))
+        assert code == expected
+        assert out.startswith("REFUTED by from-vf-to-lb" if expected
+                              else "unital invertibility preserver")
 
 
 def test_scan_over_its_own_count_still_refuses(tmp_path, capsys):

@@ -20,6 +20,8 @@ from test_cli import IDENTITY_MAP, NON_PRESERVER_MAP, SWAP_SPEC
 
 VERBS = ["build", "classify", "check", "census", "lemmas", "criteria",
          "inverse-suite", "examples"]
+# the verbs with a gate that --gate-override can lift; the others reject it
+GATED_VERBS = ["check", "census", "lemmas", "criteria", "inverse-suite"]
 
 POSETS = ["chain:1", "chain:2", "antichain:2", "chain:0", "chain:17", "antichain:x",
           "nope", ""]
@@ -63,7 +65,7 @@ def paths(tmp_path_factory):
 def argument_lists(draw, paths):
     verb = draw(st.sampled_from(VERBS))
     argv = [verb]
-    gate_override = draw(st.booleans())
+    gate_override = verb in GATED_VERBS and draw(st.booleans())
     file_arg = st.sampled_from(sorted(paths.keys() - {"out", "out-in-missing-dir"}))
     fields = SMALL_FIELDS + BAD_FIELDS + ([] if gate_override else [BIG_PRIME])
     poset_arg = st.one_of(st.sampled_from(POSETS), file_arg.map(paths.get))
@@ -137,6 +139,17 @@ def test_lemmas_over_rationals_exits_two(argv):
     code, err = run_main(argv)
     assert code == 2
     assert err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("verb", sorted(set(VERBS) - set(GATED_VERBS)))
+def test_ungated_verbs_reject_gate_override(paths, verb):
+    """``build``, ``classify`` and ``examples`` scan nothing that a gate
+    refuses, so ``--gate-override`` is a usage error there."""
+    file_args = {"build": ["--spec", paths["spec"]],
+                 "classify": ["--map", paths["map"]], "examples": []}
+    code, err = run_main([verb, *file_args[verb], "--gate-override"])
+    assert code == 2
+    assert "unrecognized arguments: --gate-override" in err
 
 
 def test_undecodable_file_exits_two(paths):

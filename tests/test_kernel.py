@@ -27,6 +27,7 @@ from incalg import (
     SubsetMapTable,
     build_preserver,
     builtin_poset,
+    classify,
     extract_subset_map,
     random_preserver_spec,
     to_xor_endo,
@@ -38,6 +39,8 @@ from incalg.preservers import (
     find_jordan_counterexample,
     find_nonpreserved_unit,
     find_strongness_counterexample,
+    is_strong,
+    preserves_invertibility,
 )
 from incalg.verify import _lemma_checks, _psi_radical_block_invertible, _sample_values
 
@@ -231,10 +234,29 @@ def test_nonpreserved_unit_scan_matches_boxed_reference(instance):
 
 @given(instances(PRIME_FIELDS, scan_cap=SCAN_CAP))
 def test_strongness_scan_matches_boxed_reference(instance):
+    """``is_strong`` agrees with the boxed reference on every drawn map, its
+    precondition ``ValueError`` included; the scan, which trusts its caller,
+    gives the boxed witness on every drawn preserver."""
     poset, field, kind, rng = instance
     phi = random_map(poset, field, kind, rng)
-    assert (outcome(find_strongness_counterexample, phi)
-            == outcome(boxed_find_strongness_counterexample, phi))
+    boxed = outcome(boxed_find_strongness_counterexample, phi)
+    assert outcome(is_strong, phi) == (
+        boxed if boxed[0] == "error" else ("result", boxed[1] is None))
+    if boxed[0] != "error":
+        assert outcome(find_strongness_counterexample, phi) == boxed
+
+
+@given(instances([F2, F3, F5]))
+def test_classify_agrees_with_the_preserver_oracle(instance):
+    """``classify`` decides by the normal form alone, on every field: it
+    accepts exactly the maps that are unital and pass the brute-force
+    preserver scan, and an accepted map is its own rebuild."""
+    poset, field, kind, rng = instance
+    for phi in perturbed_maps(random_map(poset, field, kind, rng), rng):
+        result = outcome(classify, phi)
+        assert (result[0] == "result") == (phi.is_unital() and preserves_invertibility(phi))
+        if result[0] == "result":
+            assert build_preserver(result[1]) == phi
 
 
 def test_map_kinds_reach_every_branch():

@@ -407,6 +407,23 @@ def test_linear_map_file_errors():
         parse_linear_map(missing)
 
 
+DUPLICATE_HEADERS = [
+    ("field", "field: Fp 3\nfield: Fp 5\nposet: chain:2\n"),
+    ("poset", "poset: chain:2\nposet: antichain:3\nfield: Fp 3\n"),
+]
+
+
+@pytest.mark.parametrize("line,header", DUPLICATE_HEADERS, ids=["field", "poset"])
+def test_duplicate_header_lines_are_rejected(line, header):
+    """A second 'field:' or 'poset:' line before the other header line is
+    an error, not a silent overwrite, in map and spec files alike."""
+    match = rf"line 3: duplicate '{line}:' line"
+    with pytest.raises(ParseError, match=match):
+        parse_linear_map("map\n" + header + "1 0 0\n0 1 0\n0 0 1\n")
+    with pytest.raises(ParseError, match=match):
+        parse_preserver_spec("preserver-spec\n" + header + "lambda: 1->{1} 2->{2}\npsi:\n0 0 0\n")
+
+
 def test_spec_file_round_trip():
     endo = PartitionEndo(CHAIN2.elements, (0b10, 0b01))
     psi = LinearMap.from_rows(CHAIN2, F3, [[0, 0, 0], [0, 0, 0], [1, 2, 2]])

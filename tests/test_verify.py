@@ -27,6 +27,7 @@ from incalg import (
     enumerate_specs,
     is_strong,
     merge_census,
+    preserves_invertibility,
     random_preserver_spec,
     reproduce_example,
     verify_criteria,
@@ -80,11 +81,23 @@ def test_classify_rejects_non_unital():
 
 
 def test_classify_refutes_non_preserver_over_prime_field():
+    """Over a prime field classify decides by the normal form, as over Q:
+    no unit scan runs, and the refuting law is the one that fails."""
     # unital, but a diagonal row reads a radical coordinate
     phi = LinearMap.from_rows(CHAIN2, F3, [[1, 0, 1], [0, 1, 0], [0, 0, 1]])
     assert phi.is_unital()
-    with pytest.raises(ClassificationError, match=r"vf\(U\(A\)\)-sst-U\(B\)"):
+    with pytest.raises(ClassificationError, match=r"inv-pres-for-\|K\|>2") as info:
         classify(phi)
+    assert info.value.witness is None
+    phi = LinearMap.from_rows(CHAIN2, F2, [[1, 0, 1], [0, 1, 0], [0, 0, 1]])
+    with pytest.raises(ClassificationError, match=r"inv-pres-over-Z_2"):
+        classify(phi)
+    # unital, but the diagonal block holds a value outside {0, 1}
+    phi = LinearMap.from_rows(CHAIN2, F3, [[2, 2, 0], [0, 1, 0], [0, 0, 1]])
+    assert phi.is_unital() and not preserves_invertibility(phi)
+    with pytest.raises(ClassificationError, match="from-vf-to-lb") as info:
+        classify(phi)
+    assert info.value.witness == "A = {1}"
 
 
 def test_classification_doubles_as_verification_over_q():
@@ -238,7 +251,7 @@ def test_census_records_equal_the_per_survivor_reference(poset, field):
     assert report.consistent
     for rec in report.records:
         phi = LinearMap._of_values(poset, field, rec.matrix)
-        assert rec.spec == classify(phi, assume_preserver=True)
+        assert rec.spec == classify(phi)
         assert rec.strong == is_strong(phi)
         assert rec.bijective == phi.is_bijective()
 
