@@ -2,8 +2,9 @@
 
 Verbs map one-to-one onto library operations: ``build`` assembles a map
 from a normal-form file, ``classify`` recovers (or refutes) a normal form,
-``check`` runs the predicate suite on a map, ``census`` runs the
-brute-force enumeration against the predicted count, ``lemmas`` checks the
+``check`` reports the predicate suite of a map, decided by the normal form
+and by a brute-force scan only where the theorem says nothing, ``census``
+runs the brute-force enumeration against the predicted count, ``lemmas`` checks the
 structural laws on every enumerated preserver, ``criteria`` checks the
 strongness and bijectivity criteria of one normal form, and ``examples``
 reproduces the pinned counterexamples.

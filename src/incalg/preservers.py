@@ -269,6 +269,20 @@ def _diagonal_element(poset: Poset, field: Field, diagonal) -> FIElement:
     return FIElement(poset, field, [Scalar(field, v) for v in diagonal] + zeros)
 
 
+def _first_full_pattern(poset: Poset, field: Field, images: list[int]) -> FIElement | None:
+    """The first 0/1 diagonal pattern but all ones, in product order, that
+    the XOR of the singleton ``images`` sends to the full mask, or None.
+    Product order reads a pattern's first coordinate as its top bit, so the
+    span of the reversed images lists the pattern images in that order, and
+    it ends with the all-ones pattern, which must reach the full mask."""
+    n = len(images)
+    full = (1 << n) - 1
+    k = _span_table(images[::-1]).index(full)
+    if k == full:
+        return None
+    return _diagonal_element(poset, field, [k >> (n - 1 - j) & 1 for j in range(n)])
+
+
 def _column_masks(phi: LinearMap) -> list[int] | None:
     """The diagonal block's columns as masks of the rows that hold a 1, or
     None when some entry is neither 0 nor 1. Over F_2 every entry is 0 or
@@ -393,15 +407,7 @@ def find_strongness_counterexample(phi: LinearMap,
     p = field.p
     _gate(p ** n, "is_strong", gate_override)
     if p == 2:
-        # product order reads the first coordinate of a pattern as its top
-        # bit, so the XOR span of the reversed columns lists the image
-        # diagonals in that order; the all-ones pattern comes last, and a
-        # preserver maps it to the full mask
-        full = (1 << n) - 1
-        k = _span_table(_column_masks(phi)[::-1]).index(full)
-        if k == full:
-            return None
-        return _diagonal_element(poset, field, [k >> (n - 1 - j) & 1 for j in range(n)])
+        return _first_full_pattern(poset, field, _column_masks(phi))
     block = _diagonal_block(phi)
     for diag in product(range(p), repeat=n):
         if all(diag):
@@ -549,7 +555,26 @@ def _parse_header(lines: list[tuple[int, str]], kind: str,
         at += 1
     if field is None or poset is None:
         raise ParseError("header must declare both 'field:' and 'poset:'")
+    for lineno, line in lines[at:]:
+        if line.startswith(("field:", "poset:")):
+            raise ParseError(f"duplicate {line[:6]!r} line", lineno)
     return poset, field, at
+
+
+def _parse_rows(field: Field, lines: list[tuple[int, str]], d: int,
+                what: str) -> list[list[Scalar]]:
+    """Rows of d scalars, one per line; every error names its line."""
+    rows = []
+    for lineno, line in lines:
+        entries = line.split()
+        if len(entries) != d:
+            raise ParseError(
+                f"expected {d} entries per {what} row, got {len(entries)}", lineno)
+        try:
+            rows.append([field.parse_scalar(tok) for tok in entries])
+        except ParseError as exc:
+            raise ParseError(str(exc), lineno) from None
+    return rows
 
 
 def _significant_lines(text: str) -> list[tuple[int, str]]:
@@ -576,13 +601,7 @@ def parse_linear_map(text: str, poset: Poset | None = None,
         raise ParseError("map file declares a different field than requested")
     poset, field = file_poset, file_field
     d = poset.dimension
-    rows = []
-    for lineno, line in lines[at:]:
-        entries = line.split()
-        if len(entries) != d:
-            raise ParseError(
-                f"expected {d} entries per matrix row, got {len(entries)}", lineno)
-        rows.append([field.parse_scalar(tok) for tok in entries])
+    rows = _parse_rows(field, lines[at:], d, "matrix")
     if len(rows) != d:
         raise ParseError(f"expected {d} matrix rows, got {len(rows)}")
     return LinearMap(poset, field, rows)
@@ -631,11 +650,7 @@ def parse_preserver_spec(text: str) -> PreserverSpec:
     psi_rows = lines[at:]
     if len(psi_rows) != m:
         raise ParseError(f"psi block needs {m} rows, got {len(psi_rows)}")
-    for lineno, line in psi_rows:
-        entries = line.split()
-        if len(entries) != d:
-            raise ParseError(f"expected {d} entries per psi row, got {len(entries)}", lineno)
-        rows.append([field.parse_scalar(tok) for tok in entries])
+    rows += _parse_rows(field, psi_rows, d, "psi")
     try:
         return PreserverSpec(poset, field, endo, LinearMap(poset, field, rows))
     except MismatchError as exc:

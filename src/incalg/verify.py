@@ -61,6 +61,7 @@ from .preservers import (
     preserves_inverses,
     preserves_invertibility,
     psi_to_json,
+    _first_full_pattern,
     _gate,
     _rank_of_values,
 )
@@ -825,80 +826,58 @@ def analyze_map(phi: LinearMap, gate_override: bool = False) -> dict:
     """Full predicate report for one linear map: verdicts, the extracted
     normal form when it exists, and concrete failure witnesses.
 
-    Over the rationals the brute-force scans are impossible; preserver-ness
-    is decided by classification, strongness by the injectivity criterion,
-    and inverse preservation by the Jordan criterion (char 0). Over a prime
-    field the preserver scan runs once, and the strongness and inverse scans
-    that follow trust its verdict.
+    The normal form decides what it settles, on every field: a unital map
+    is a preserver iff ``classify`` accepts it; a unital preserver is strong
+    iff lambda is injective, with the non-unit that the q^n scan finds first
+    as the witness; outside characteristic 2 it preserves inverses iff it
+    is a Jordan endomorphism; and a non-preserver sends a unit to a non-unit,
+    so it preserves no inverses. Elsewhere a prime field runs the scans: the
+    preserver scan on a non-unital map, and the unit scan on a non-unital
+    preserver or one in characteristic 2 (undecided beyond its gate).
     """
-    report: dict = {
-        "poset": phi.poset.display_name,
-        "field": format_field(phi.field),
-        "verdicts": {},
-        "lambda": None,
-        "psi": None,
-        "witnesses": {},
-    }
-    verdicts = report["verdicts"]
-    verdicts["unital"] = phi.is_unital()
-
+    poset, field = phi.poset, phi.field
+    verdicts: dict = {"unital": phi.is_unital(), "preserver": None, "strong": None,
+                      "inverse_preserving": None, "jordan": None}
+    witnesses: dict = {}
+    report = {"poset": poset.display_name, "field": format_field(field),
+              "verdicts": verdicts, "lambda": None, "psi": None, "witnesses": witnesses}
     spec = None
-    if isinstance(phi.field, PrimeField):
+    if verdicts["unital"]:
+        try:
+            spec = classify(phi)
+        except ClassificationError as exc:
+            witnesses["preserver"] = str(exc)
+        verdicts["preserver"] = spec is not None
+    elif isinstance(field, PrimeField):
         bad = find_nonpreserved_unit(phi, gate_override=gate_override)
         verdicts["preserver"] = bad is None
         if bad is not None:
-            report["witnesses"]["preserver"] = (
-                f"unit {format_element(bad)} maps to non-unit "
-                f"{format_element(phi.apply(bad))}")
-        if verdicts["preserver"] and verdicts["unital"]:
-            spec = classify(phi)
-            try:
-                counter = find_strongness_counterexample(phi, gate_override=gate_override)
-            except GateError as exc:
-                verdicts["strong"] = None
-                report["witnesses"]["strong"] = f"undecided: {exc}"
-            else:
-                verdicts["strong"] = counter is None
-                if counter is not None:
-                    report["witnesses"]["strong"] = (
-                        f"non-unit {format_element(counter)} maps to a unit")
-        else:
-            verdicts["strong"] = None
-        if verdicts["preserver"]:
-            # inverse preservation makes sense for non-unital preservers too
-            try:
-                verdicts["inverse_preserving"] = find_inverse_counterexample(
-                    phi, gate_override=gate_override) is None
-            except GateError as exc:
-                verdicts["inverse_preserving"] = None
-                report["witnesses"]["inverse_preserving"] = f"undecided: {exc}"
-        else:
-            verdicts["inverse_preserving"] = False
-        jordan_pair = find_jordan_counterexample(phi)
-    else:
-        if verdicts["unital"]:
-            try:
-                spec = classify(phi)
-                verdicts["preserver"] = True
-            except ClassificationError as exc:
-                verdicts["preserver"] = False
-                report["witnesses"]["preserver"] = str(exc)
-        else:
-            verdicts["preserver"] = None
-        jordan_pair = find_jordan_counterexample(phi)
-        if spec is not None:
-            # spec is only set for a unital map, and over Q a unital
-            # preserver preserves inverses iff it is a Jordan endomorphism
-            verdicts["strong"] = spec.endo.is_injective()
-            verdicts["inverse_preserving"] = jordan_pair is None
-        else:
-            verdicts["strong"] = None
-            verdicts["inverse_preserving"] = None
+            witnesses["preserver"] = (f"unit {format_element(bad)} maps to non-unit "
+                                      f"{format_element(phi.apply(bad))}")
+    if spec is not None:
+        counter = _first_full_pattern(
+            poset, field, [spec.endo.apply_mask(1 << x) for x in range(poset.n)])
+        verdicts["strong"] = counter is None
+        if counter is not None:
+            witnesses["strong"] = f"non-unit {format_element(counter)} maps to a unit"
 
+    jordan_pair = find_jordan_counterexample(phi)
+    if verdicts["preserver"] is False:
+        verdicts["inverse_preserving"] = False
+    elif spec is not None and field.characteristic != 2:
+        verdicts["inverse_preserving"] = jordan_pair is None
+    elif verdicts["preserver"]:
+        # a non-unital preserver, or one in characteristic 2, where
+        # z2-not-jordan shows that the Jordan verdict does not decide
+        try:
+            verdicts["inverse_preserving"] = find_inverse_counterexample(
+                phi, gate_override=gate_override) is None
+        except GateError as exc:
+            witnesses["inverse_preserving"] = f"undecided: {exc}"
     verdicts["jordan"] = jordan_pair is None
     if jordan_pair is not None:
         a, b = jordan_pair
-        report["witnesses"]["jordan"] = (
+        witnesses["jordan"] = (
             f"phi({format_element(a)} o {format_element(b)}) != "
             f"phi({format_element(a)}) o phi({format_element(b)})")
 

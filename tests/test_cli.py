@@ -161,20 +161,29 @@ def test_lemmas_randomized_without_trials_exits_two(capsys):
                                 f"one trial, got {trials}\n")
 
 
-def test_check_exits_zero_when_only_strongness_is_gated(tmp_path, capsys, monkeypatch):
+def test_check_exits_zero_when_only_the_inverse_scan_is_gated(tmp_path, capsys, monkeypatch):
     from incalg import preservers
 
-    # the preserver scan visits 10^3 patterns, within the lowered cap; the
-    # strongness scan would visit 11^3
+    # strongness is read off the power-set endomorphism, so no scan runs on
+    # the antichain:3 identity over Fp 11 even with the cap at 10^3 < 11^3
     monkeypatch.setattr(preservers, "SCAN_CAP", 1000)
     map_path = tmp_path / "map.txt"
     map_path.write_text("map\nfield: Fp 11\nposet: antichain:3\n1 0 0\n0 1 0\n0 0 1\n")
     code, out = run(capsys, "check", "--map", str(map_path))
     assert code == 0
-    assert "  strong: undecided\n    witness: undecided: is_strong would scan 1331" in out
+    assert "  strong: yes\n  inverse_preserving: yes\n" in out
+    assert "witness" not in out
+    # in characteristic 2 only the unit scan decides inverse preservation,
+    # and it is capped at |X| <= 4
+    map_path = fp_identity_map_file(tmp_path, "antichain:5", 2)
+    code, out = run(capsys, "check", "--map", str(map_path))
+    assert code == 0
+    assert ("  inverse_preserving: undecided\n"
+            "    witness: undecided: preserves_inverses capped at |X| <= 4") in out
     code, out = run(capsys, "check", "--map", str(map_path), "--json")
     assert code == 0
-    assert json.loads(out)["verdicts"]["strong"] is None
+    verdicts = json.loads(out)["verdicts"]
+    assert verdicts["strong"] is True and verdicts["inverse_preserving"] is None
 
 
 def test_criteria_verb(tmp_path, capsys):
@@ -227,6 +236,27 @@ def test_duplicate_header_line_exits_two(tmp_path, capsys, line):
         err = capsys.readouterr().err
         assert code == 2, argv
         assert err == f"error: line 3: duplicate '{line}:' line\n"
+
+
+def test_late_header_line_and_bad_scalars_exit_two_with_their_line(tmp_path, capsys):
+    """A 'field:' line after both header lines, and a bad scalar in a
+    matrix or psi row, exit 2 with one error line that names the line."""
+    cases = [
+        ("check", "--map", "map\nfield: Fp 3\nposet: chain:2\nfield: Fp 5\n"
+         "1 0 0\n0 1 0\n0 0 1\n", "line 4: duplicate 'field:' line"),
+        ("check", "--map", "map\nfield: Fp 3\nposet: chain:2\n1 0 0\n0 x 0\n0 0 1\n",
+         "line 5: bad Fp 3 scalar literal: 'x'"),
+        ("criteria", "--spec", "preserver-spec\nfield: Fp 3\nposet: chain:2\n"
+         "lambda: 1->{1} 2->{2}\npsi:\n0 0 zz\n", "line 6: bad Fp 3 scalar literal: 'zz'"),
+    ]
+    for verb, flag, text, message in cases:
+        path = tmp_path / "input.txt"
+        path.write_text(text)
+        code = main([verb, flag, str(path)])
+        captured = capsys.readouterr()
+        assert code == 2, message
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
 
 
 def test_missing_file_exits_two(capsys):
@@ -417,9 +447,9 @@ def test_fp_identities_beyond_six_elements_need_no_override(tmp_path, capsys):
 
 
 def test_classify_decides_beyond_the_scan_gates(tmp_path, capsys):
-    """classify runs no unit scan on any field, so it decides maps whose
-    (q-1)^n patterns are beyond the scan cap with no flag, while check still
-    refuses them: a seeded preserver on chain:5 over Fp 31 classifies, and
+    """classify and check run no unit scan on a unital map, on any field, so
+    they decide maps whose (q-1)^n patterns are beyond the scan cap with no
+    flag: a seeded preserver on chain:5 over Fp 31 classifies, and
     a copy with 2 moved between two entries of a diagonal row (its row sum
     kept) is refuted."""
     for poset, p in (("antichain:5", 31), ("antichain:16", 5)):
@@ -427,8 +457,9 @@ def test_classify_decides_beyond_the_scan_gates(tmp_path, capsys):
         code, out = run(capsys, "classify", "--map", map_path)
         assert code == 0, poset
         assert out.startswith("unital invertibility preserver\n")
-    assert main(["check", "--map", map_path]) == 2
-    assert "would scan 4294967296 cases" in capsys.readouterr().err
+        code, out = run(capsys, "check", "--map", map_path, "--json")
+        assert code == 0, poset
+        assert all(v is True for v in json.loads(out)["verdicts"].values())
     chain5, f31 = builtin_poset("chain:5"), PrimeField(31)
     phi = build_preserver(random_preserver_spec(chain5, f31, random.Random(3)))
     rows = [list(row) for row in phi.values]
@@ -444,8 +475,12 @@ def test_classify_decides_beyond_the_scan_gates(tmp_path, capsys):
 
 
 def test_scan_over_its_own_count_still_refuses(tmp_path, capsys):
-    """chain:7 over Fp 11 has 10^7 nonzero diagonal patterns."""
-    map_path = fp_identity_map_file(tmp_path, "chain:7", 11)
+    """The preserver scan still decides a non-unital map, and chain:7 over
+    Fp 11 has 10^7 nonzero diagonal patterns."""
+    f11 = PrimeField(11)
+    map_path = tmp_path / "twice-identity.txt"
+    map_path.write_text(format_linear_map(
+        LinearMap.identity(builtin_poset("chain:7"), f11).scale(f11.scalar(2))))
     code = main(["check", "--map", str(map_path)])
     assert code == 2
     assert capsys.readouterr().err == (

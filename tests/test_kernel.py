@@ -4,7 +4,9 @@
 diagonal-pattern scans, the Jordan scan read off the matrix columns, the
 lemma laws read off the matrix and the sample's coefficient tuples, and the
 row-sum checks of ``is_unital`` and ``PreserverSpec``) against the
-boxed-``Scalar`` reference in ``boxed_reference.py``."""
+boxed-``Scalar`` reference in ``boxed_reference.py``, and of the verdicts
+that ``analyze_map`` reads off the normal form against the brute-force
+scans."""
 
 import functools
 import random
@@ -25,6 +27,7 @@ from incalg import (
     PreserverSpec,
     PrimeField,
     SubsetMapTable,
+    analyze_map,
     build_preserver,
     builtin_poset,
     classify,
@@ -32,14 +35,16 @@ from incalg import (
     random_preserver_spec,
     to_xor_endo,
 )
-from incalg.algebra import basis_element
+from incalg.algebra import basis_element, format_element
 from incalg.preservers import (
     _column_masks,
     _rank_of_values,
     find_jordan_counterexample,
     find_nonpreserved_unit,
     find_strongness_counterexample,
+    is_jordan_endo,
     is_strong,
+    preserves_inverses,
     preserves_invertibility,
 )
 from incalg.verify import _lemma_checks, _psi_radical_block_invertible, _sample_values
@@ -577,3 +582,79 @@ def test_jordan_cases_reach_every_outcome():
             ("preserver", False), ("perturbed", False), ("non-unital", False),
             "distinct pair"} <= seen
     assert ("jordan", False) not in seen
+
+
+UNIT_CAP = 1000  # units for the inverse scan, to keep the property fast
+
+
+def scan_verdicts(phi: LinearMap) -> dict:
+    """The verdicts of ``analyze_map`` as the brute-force scans reach them:
+    the preserver scan, the q^n strongness scan on a unital preserver with
+    its witness text, and the unit scan on a preserver where it fits
+    UNIT_CAP (None beyond it). A non-preserver sends some unit to a
+    non-unit, so it preserves no inverses."""
+    poset, field = phi.poset, phi.field
+    n, d = poset.n, poset.dimension
+    preserver = preserves_invertibility(phi)
+    out = {"preserver": preserver, "strong": None, "strong witness": None,
+           "inverse_preserving": False if not preserver else None}
+    if preserver and phi.is_unital():
+        counter = find_strongness_counterexample(phi)
+        out["strong"] = counter is None
+        if counter is not None:
+            out["strong witness"] = f"non-unit {format_element(counter)} maps to a unit"
+    if preserver and n <= 4 and (field.p - 1) ** n * field.p ** (d - n) <= UNIT_CAP:
+        out["inverse_preserving"] = preserves_inverses(phi)
+    return out
+
+
+def analysis_cases(poset, field, kind: str, jordan_kind: str, rng: random.Random):
+    """A map of each kernel kind with its perturbed copies, and the Jordan
+    cases of one kind."""
+    return (perturbed_maps(random_map(poset, field, kind, rng), rng)
+            + jordan_cases(poset, field, jordan_kind, rng))
+
+
+@given(instances([F2, F3, F5], scan_cap=SCAN_CAP), st.sampled_from(JORDAN_KINDS))
+def test_analyze_map_matches_the_brute_force_scans(instance, jordan_kind):
+    """``analyze_map`` decides by the normal form; wherever the scans fit,
+    its preserver, strong and inverse-preserving verdicts and its strongness
+    witness are the ones the scans reach."""
+    poset, field, kind, rng = instance
+    for phi in analysis_cases(poset, field, kind, jordan_kind, rng):
+        report = analyze_map(phi)
+        expected = scan_verdicts(phi)
+        verdicts = report["verdicts"]
+        assert verdicts["preserver"] == expected["preserver"]
+        assert verdicts["strong"] == expected["strong"]
+        assert report["witnesses"].get("strong") == expected["strong witness"]
+        if expected["inverse_preserving"] is not None:
+            assert verdicts["inverse_preserving"] == expected["inverse_preserving"]
+
+
+def test_analysis_cases_reach_every_verdict():
+    """The cases reach strong and non-strong unital preservers, unital
+    preservers that preserve inverses and ones that do not in odd
+    characteristic and in characteristic 2, and in characteristic 2 also
+    ones where the Jordan verdict differs from the unit scan's."""
+    rng = random.Random(0)
+    seen = set()
+    for field in (F2, F3, F5):
+        for poset in POSET_POOL:
+            if field.p ** poset.n > SCAN_CAP:
+                continue
+            for kind in MAP_KINDS:
+                for jordan_kind in JORDAN_KINDS:
+                    for phi in analysis_cases(poset, field, kind, jordan_kind, rng):
+                        expected = scan_verdicts(phi)
+                        if expected["strong"] is None:
+                            continue
+                        seen.add(("strong", expected["strong"]))
+                        ip = expected["inverse_preserving"]
+                        if ip is not None:
+                            seen.add((field.p == 2, ip))
+                            if ip != is_jordan_endo(phi):
+                                seen.add((field.p == 2, "jordan differs"))
+    assert {("strong", True), ("strong", False), (True, True), (True, False),
+            (False, True), (False, False), (True, "jordan differs")} <= seen
+    assert (False, "jordan differs") not in seen

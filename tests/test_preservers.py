@@ -424,6 +424,37 @@ def test_duplicate_header_lines_are_rejected(line, header):
         parse_preserver_spec("preserver-spec\n" + header + "lambda: 1->{1} 2->{2}\npsi:\n0 0 0\n")
 
 
+LATE_HEADER_AND_BAD_SCALARS = [
+    ("map\nfield: Fp 3\nposet: chain:2\nfield: Fp 5\n1 0 0\n0 1 0\n0 0 1\n",
+     "line 4: duplicate 'field:' line"),
+    ("map\nfield: Fp 3\nposet: chain:2\n1 0 0\n0 1 0\nposet: chain:2\n",
+     "line 6: duplicate 'poset:' line"),
+    ("map\nfield: Fp 3\nposet: chain:2\n1 0 0\n0 x 0\n0 0 1\n",
+     "line 5: bad Fp 3 scalar literal: 'x'"),
+    ("map\nfield: Q\nposet: chain:2\n1 0 0\n0 1 0\n0 0 1/0\n",
+     "line 6: bad rational scalar literal: '1/0'"),
+    ("preserver-spec\nfield: Fp 3\nposet: chain:2\nlambda: 1->{1} 2->{2}\npsi:\n"
+     "poset: chain:2\n", "line 6: duplicate 'poset:' line"),
+    ("preserver-spec\nfield: Fp 3\nposet: chain:2\nfield: Fp 5\n"
+     "lambda: 1->{1} 2->{2}\npsi:\n0 0 0\n", "line 4: duplicate 'field:' line"),
+    ("preserver-spec\nfield: Fp 3\nposet: chain:2\nlambda: 1->{1} 2->{2}\npsi:\n0 0 zz\n",
+     "line 6: bad Fp 3 scalar literal: 'zz'"),
+]
+
+
+@pytest.mark.parametrize("text,message", LATE_HEADER_AND_BAD_SCALARS, ids=[
+    "map-late-field", "map-late-poset", "map-bad-fp", "map-bad-q",
+    "spec-late-poset", "spec-late-field", "spec-bad-psi"])
+def test_late_header_lines_and_bad_scalars_name_their_line(text, message):
+    """A 'field:' or 'poset:' line after both header lines is a duplicate at
+    its own line, not a row of bad scalars, and a bad scalar in a matrix or
+    psi row names its line."""
+    parse = parse_preserver_spec if text.startswith("preserver-spec") else parse_linear_map
+    with pytest.raises(ParseError) as info:
+        parse(text)
+    assert str(info.value) == message
+
+
 def test_spec_file_round_trip():
     endo = PartitionEndo(CHAIN2.elements, (0b10, 0b01))
     psi = LinearMap.from_rows(CHAIN2, F3, [[0, 0, 0], [0, 0, 0], [1, 2, 2]])

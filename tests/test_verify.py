@@ -1,7 +1,9 @@
 import importlib.util
 import random
 import sys
+from fractions import Fraction
 from itertools import groupby, product
+from math import factorial, prod
 from pathlib import Path
 
 import pytest
@@ -35,6 +37,7 @@ from incalg import (
     verify_lemma_suite,
 )
 
+from incalg.algebra import basis_element
 from incalg.verify import CENSUS_SPACE_CAP
 
 from conftest import F2, F3, F5, POSET_POOL, PRIME_FIELDS, Q
@@ -328,6 +331,31 @@ def test_bijective_preservers_are_strong():
                 assert rec.strong
 
 
+def gl_order(k: int, q: int) -> int:
+    """|GL_k(F_q)|."""
+    return prod(q ** k - q ** i for i in range(k))
+
+
+@pytest.mark.parametrize("name,p", [
+    ("chain:1", 7), ("chain:2", 2), ("chain:2", 3), ("chain:2", 5), ("antichain:2", 5),
+    ("antichain:3", 2), ("antichain:3", 3), ("antichain:4", 2), ("v", 2)])
+def test_census_strong_and_bijective_counts_match_closed_forms(name, p):
+    """With m = d - n radical coordinates and S strong endomorphisms (n!
+    permutations for q > 2, |GL_n(2)| / (2^n - 1) invertible GF(2) matrices
+    fixing X over F2), the census has S q^(m(d-1)) strong survivors and
+    S q^(m(n-1)) |GL_m(q)| bijective ones, and every bijective survivor is
+    strong. The census decides strongness by its q^n scan, so this is the
+    census-side check of the injectivity criterion that check reads."""
+    poset = builtin_poset(name)
+    n, d = poset.n, poset.dimension
+    m = d - n
+    s = gl_order(n, 2) // (2 ** n - 1) if p == 2 else factorial(n)
+    records = enumerate_preservers(poset, PrimeField(p)).records
+    assert sum(rec.strong for rec in records) == s * p ** (m * (d - 1))
+    assert sum(rec.bijective for rec in records) == s * p ** (m * (n - 1)) * gl_order(m, p)
+    assert all(rec.strong for rec in records if rec.bijective)
+
+
 @pytest.mark.parametrize("field,lemma_count", [(F3, 7), (F2, 5)])
 def test_lemma_suite_exhaustive(field, lemma_count):
     verdicts = verify_lemma_suite(CHAIN2, field)
@@ -537,21 +565,32 @@ def test_analyze_map_over_rationals_scans_jordan_once(monkeypatch):
     assert jordan == {True, False}
 
 
-def test_analyze_map_leaves_gated_strongness_undecided(monkeypatch):
-    """A strongness scan over its gate leaves that verdict undecided, as the
-    inverse scan does, and the map is still reported as a preserver."""
+def test_analyze_map_leaves_a_gated_inverse_scan_undecided(monkeypatch):
+    """Strongness is read off the power-set endomorphism, and inverse
+    preservation off the Jordan verdict outside characteristic 2, so no scan
+    gate applies to a unital preserver over an odd prime field. The unit
+    scan still decides a non-unital preserver and a preserver over F_2, and
+    past its gate that verdict is undecided while the map is still reported
+    as a preserver."""
     from incalg import preservers
 
-    # (q - 1)^n = 1000 patterns for the preserver scan, within the cap, but
-    # q^n = 1331 for the strongness scan
     monkeypatch.setattr(preservers, "SCAN_CAP", 1000)
     report = analyze_map(LinearMap.identity(ANTI3, PrimeField(11)))
-    verdicts = report["verdicts"]
-    assert verdicts["unital"] is True and verdicts["preserver"] is True
-    assert verdicts["strong"] is None
-    assert report["witnesses"]["strong"] == "undecided: is_strong would scan 1331 cases (cap 1000)"
-    assert verdicts["inverse_preserving"] is True
+    assert report["verdicts"] == {
+        "unital": True, "preserver": True, "strong": True,
+        "inverse_preserving": True, "jordan": True}
+    assert report["witnesses"] == {}
     assert report["lambda"]["kind"] == "partition"
+
+    anti5 = builtin_poset("antichain:5")
+    undecided = "undecided: preserves_inverses capped at |X| <= 4"
+    for phi, strong in ((LinearMap.identity(anti5, F3).scale(F3.scalar(2)), None),
+                        (LinearMap.identity(anti5, F2), True)):
+        report = analyze_map(phi)
+        verdicts = report["verdicts"]
+        assert verdicts["preserver"] is True and verdicts["strong"] is strong
+        assert verdicts["inverse_preserving"] is None
+        assert report["witnesses"]["inverse_preserving"] == undecided
 
 
 def test_analyze_map_non_unital_inverse_preserver():
@@ -691,3 +730,46 @@ def test_composition_beyond_six_elements(name, field):
     """The same relation beyond the pool, at n = 7 and 8 over prime fields
     and at chain:12 over Q (composing its 78 x 78 matrices takes about 1 s)."""
     check_composition(builtin_poset(name), field, random.Random(5))
+
+
+def random_unit(poset, field, rng):
+    """A unit of I(X,K): nonzero diagonal, random radical part."""
+    def value(nonzero: bool):
+        while True:
+            v = (rng.randrange(field.p) if isinstance(field, PrimeField)
+                 else Fraction(rng.randint(-5, 5), rng.randint(1, 4)))
+            if v or not nonzero:
+                return v
+    return FIElement.from_vector(
+        poset, field, [value(i < poset.n) for i in range(poset.dimension)])
+
+
+def inner_automorphism_after(phi, rng):
+    """a -> u phi(a) u^-1 for a random unit u."""
+    poset, field = phi.poset, phi.field
+    unit = random_unit(poset, field, rng)
+    inv = unit.inverse()
+    return LinearMap.from_basis_images(poset, field, {
+        (x, y): unit * phi.apply(basis_element(poset, field, x, y)) * inv
+        for x, y in poset.basis_pairs})
+
+
+def check_inner_automorphism(poset, field, rng):
+    """Conjugation leaves every diagonal unchanged, so Ad_u o phi has the
+    lambda of phi's spec, and is strong iff that lambda is injective."""
+    spec = random_preserver_spec(poset, field, rng)
+    phi = inner_automorphism_after(build_preserver(spec), rng)
+    assert classify(phi).endo == spec.endo
+    verdicts = analyze_map(phi)["verdicts"]
+    assert verdicts["preserver"] is True
+    assert verdicts["strong"] == spec.endo.is_injective()
+
+
+@given(st.sampled_from(POSET_POOL), st.sampled_from([F2, F3, F5, Q]),
+       st.integers(0, 2**32 - 1))
+def test_inner_automorphisms_keep_lambda(poset, field, seed):
+    check_inner_automorphism(poset, field, random.Random(seed))
+
+
+def test_inner_automorphisms_keep_lambda_on_chain12():
+    check_inner_automorphism(builtin_poset("chain:12"), Q, random.Random(5))
