@@ -3,7 +3,7 @@
 Verbs map one-to-one onto library operations: ``build`` assembles a map
 from a normal-form file, ``classify`` recovers (or refutes) a normal form,
 ``check`` reports the predicate suite of a map, decided by the normal form
-and by a brute-force scan only where the theorem says nothing, ``census``
+of phi(delta)^-1 phi and, where that is silent, by the unit scan, ``census``
 runs the brute-force enumeration against the predicted count, ``lemmas`` checks the
 structural laws on every enumerated preserver, ``criteria`` checks the
 strongness and bijectivity criteria of one normal form, and ``examples``

@@ -272,10 +272,6 @@ class Scalar:
             return Scalar(self.field, pow(self.value, -1, self.field.p))
         return Scalar(self.field, 1 / self.value)
 
-    def __truediv__(self, other: "Scalar") -> "Scalar":
-        self._coerce(other)
-        return self * other.inverse()
-
     def __bool__(self) -> bool:
         return bool(self.value)
 

@@ -397,9 +397,9 @@ def find_strongness_counterexample(phi: LinearMap,
                                    gate_override: bool = False) -> FIElement | None:
     """A non-unit whose image is a unit, or None if the preserver is strong.
 
-    Requires, unchecked, a unital invertibility preserver; the scan runs over
-    all q^n diagonal patterns, which suffices because stage (i) of the
-    preserver check makes image diagonals depend on input diagonals only.
+    Requires, unchecked, an invertibility preserver, unital or not; the scan
+    runs over all q^n diagonal patterns, which suffices because stage (i) of
+    the preserver check makes image diagonals depend on input diagonals only.
     """
     field = _require_prime(phi, "is_strong")
     poset = phi.poset

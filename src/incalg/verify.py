@@ -53,7 +53,6 @@ from .preservers import (
     extract_subset_map,
     find_inverse_counterexample,
     find_jordan_counterexample,
-    find_nonpreserved_unit,
     find_strongness_counterexample,
     is_jordan_endo,
     is_strong,
@@ -826,14 +825,13 @@ def analyze_map(phi: LinearMap, gate_override: bool = False) -> dict:
     """Full predicate report for one linear map: verdicts, the extracted
     normal form when it exists, and concrete failure witnesses.
 
-    The normal form decides what it settles, on every field: a unital map
-    is a preserver iff ``classify`` accepts it; a unital preserver is strong
-    iff lambda is injective, with the non-unit that the q^n scan finds first
-    as the witness; outside characteristic 2 it preserves inverses iff it
-    is a Jordan endomorphism; and a non-preserver sends a unit to a non-unit,
-    so it preserves no inverses. Elsewhere a prime field runs the scans: the
-    preserver scan on a non-unital map, and the unit scan on a non-unital
-    preserver or one in characteristic 2 (undecided beyond its gate).
+    The normal form decides on every field: phi preserves invertibility iff
+    u = phi(delta) is a unit and ``classify`` accepts the unital psi =
+    u^-1 phi (left multiplication by u permutes the units), and is then
+    strong iff lambda(psi) is injective. It preserves inverses iff it is
+    Jordan when unital outside characteristic 2, never when u^2 != delta, and
+    else as the unit scan says (undecided beyond its gate or over Q).
+    ``lambda`` and ``psi`` are the normal form of a unital preserver only.
     """
     poset, field = phi.poset, phi.field
     verdicts: dict = {"unital": phi.is_unital(), "preserver": None, "strong": None,
@@ -841,19 +839,26 @@ def analyze_map(phi: LinearMap, gate_override: bool = False) -> dict:
     witnesses: dict = {}
     report = {"poset": poset.display_name, "field": format_field(field),
               "verdicts": verdicts, "lambda": None, "psi": None, "witnesses": witnesses}
-    spec = None
-    if verdicts["unital"]:
+    spec, psi, u, about = None, phi, None, ""
+    if not verdicts["unital"]:
+        delta = FIElement.delta(poset, field)
+        u = phi.apply(delta)
+        if u.is_unit():
+            u_inv = u.inverse()
+            psi = LinearMap.from_basis_images(poset, field, {
+                pair: u_inv * FIElement(poset, field, column)
+                for pair, column in zip(poset.basis_pairs, zip(*phi.rows))})
+            about = "phi(delta)^-1 phi: "
+        else:
+            verdicts["preserver"] = False
+            witnesses["preserver"] = (f"unit {format_element(delta)} maps to non-unit "
+                                      f"{format_element(u)}")
+    if verdicts["preserver"] is None:
         try:
-            spec = classify(phi)
+            spec = classify(psi)
         except ClassificationError as exc:
-            witnesses["preserver"] = str(exc)
+            witnesses["preserver"] = about + str(exc)
         verdicts["preserver"] = spec is not None
-    elif isinstance(field, PrimeField):
-        bad = find_nonpreserved_unit(phi, gate_override=gate_override)
-        verdicts["preserver"] = bad is None
-        if bad is not None:
-            witnesses["preserver"] = (f"unit {format_element(bad)} maps to non-unit "
-                                      f"{format_element(phi.apply(bad))}")
     if spec is not None:
         counter = _first_full_pattern(
             poset, field, [spec.endo.apply_mask(1 << x) for x in range(poset.n)])
@@ -862,17 +867,16 @@ def analyze_map(phi: LinearMap, gate_override: bool = False) -> dict:
             witnesses["strong"] = f"non-unit {format_element(counter)} maps to a unit"
 
     jordan_pair = find_jordan_counterexample(phi)
-    if verdicts["preserver"] is False:
+    if spec is None or (u is not None and u * u != delta):
         verdicts["inverse_preserving"] = False
-    elif spec is not None and field.characteristic != 2:
+    elif u is None and field.characteristic != 2:
         verdicts["inverse_preserving"] = jordan_pair is None
-    elif verdicts["preserver"]:
-        # a non-unital preserver, or one in characteristic 2, where
-        # z2-not-jordan shows that the Jordan verdict does not decide
+    else:
+        # u^2 = delta, or characteristic 2, where Jordan does not decide (z2-not-jordan)
         try:
             verdicts["inverse_preserving"] = find_inverse_counterexample(
                 phi, gate_override=gate_override) is None
-        except GateError as exc:
+        except (GateError, InfiniteFieldError) as exc:
             witnesses["inverse_preserving"] = f"undecided: {exc}"
     verdicts["jordan"] = jordan_pair is None
     if jordan_pair is not None:
@@ -881,7 +885,7 @@ def analyze_map(phi: LinearMap, gate_override: bool = False) -> dict:
             f"phi({format_element(a)} o {format_element(b)}) != "
             f"phi({format_element(a)}) o phi({format_element(b)})")
 
-    if spec is not None:
+    if spec is not None and u is None:
         report["lambda"] = endo_to_json(spec.endo)
         report["psi"] = psi_to_json(spec)
     return report

@@ -475,13 +475,18 @@ def test_classify_decides_beyond_the_scan_gates(tmp_path, capsys):
 
 
 def test_scan_over_its_own_count_still_refuses(tmp_path, capsys):
-    """The preserver scan still decides a non-unital map, and chain:7 over
-    Fp 11 has 10^7 nonzero diagonal patterns."""
+    """The randomized lemma suite still runs the preserver scan on each
+    sampled normal form, and chain:7 over Fp 11 has 10^7 nonzero diagonal
+    patterns. check decides 2*identity there through phi(delta)^-1 phi,
+    with no scan: a strong preserver, not unital, so it exits 1."""
+    code = main(["lemmas", "--poset", "chain:7", "--field", "Fp 11", "--sample", "randomized"])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "error: preserves_invertibility would scan 10000000 cases (cap 1000000)\n")
     f11 = PrimeField(11)
     map_path = tmp_path / "twice-identity.txt"
     map_path.write_text(format_linear_map(
         LinearMap.identity(builtin_poset("chain:7"), f11).scale(f11.scalar(2))))
-    code = main(["check", "--map", str(map_path)])
-    assert code == 2
-    assert capsys.readouterr().err == (
-        "error: preserves_invertibility would scan 10000000 cases (cap 1000000)\n")
+    assert main(["check", "--map", str(map_path)]) == 1
+    out = capsys.readouterr().out
+    assert "  preserver: yes\n  strong: yes\n" in out

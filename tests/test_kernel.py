@@ -589,8 +589,8 @@ UNIT_CAP = 1000  # units for the inverse scan, to keep the property fast
 
 def scan_verdicts(phi: LinearMap) -> dict:
     """The verdicts of ``analyze_map`` as the brute-force scans reach them:
-    the preserver scan, the q^n strongness scan on a unital preserver with
-    its witness text, and the unit scan on a preserver where it fits
+    the preserver scan, the q^n strongness scan on a preserver, unital or
+    not, with its witness text, and the unit scan on a preserver where it fits
     UNIT_CAP (None beyond it). A non-preserver sends some unit to a
     non-unit, so it preserves no inverses."""
     poset, field = phi.poset, phi.field
@@ -598,7 +598,7 @@ def scan_verdicts(phi: LinearMap) -> dict:
     preserver = preserves_invertibility(phi)
     out = {"preserver": preserver, "strong": None, "strong witness": None,
            "inverse_preserving": False if not preserver else None}
-    if preserver and phi.is_unital():
+    if preserver:
         counter = find_strongness_counterexample(phi)
         out["strong"] = counter is None
         if counter is not None:
@@ -633,10 +633,10 @@ def test_analyze_map_matches_the_brute_force_scans(instance, jordan_kind):
 
 
 def test_analysis_cases_reach_every_verdict():
-    """The cases reach strong and non-strong unital preservers, unital
+    """The cases reach strong and non-strong preservers, unital and not,
     preservers that preserve inverses and ones that do not in odd
     characteristic and in characteristic 2, and in characteristic 2 also
-    ones where the Jordan verdict differs from the unit scan's."""
+    unital ones where the Jordan verdict differs from the unit scan's."""
     rng = random.Random(0)
     seen = set()
     for field in (F2, F3, F5):
@@ -649,12 +649,15 @@ def test_analysis_cases_reach_every_verdict():
                         expected = scan_verdicts(phi)
                         if expected["strong"] is None:
                             continue
-                        seen.add(("strong", expected["strong"]))
+                        seen.add((phi.is_unital(), "strong", expected["strong"]))
                         ip = expected["inverse_preserving"]
                         if ip is not None:
                             seen.add((field.p == 2, ip))
-                            if ip != is_jordan_endo(phi):
+                            # -identity preserves inverses but is not Jordan
+                            if phi.is_unital() and ip != is_jordan_endo(phi):
                                 seen.add((field.p == 2, "jordan differs"))
-    assert {("strong", True), ("strong", False), (True, True), (True, False),
+    assert {(unital, "strong", strong) for unital in (True, False)
+            for strong in (True, False)} <= seen
+    assert {(True, True), (True, False),
             (False, True), (False, False), (True, "jordan differs")} <= seen
     assert (False, "jordan differs") not in seen

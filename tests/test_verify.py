@@ -324,21 +324,14 @@ def test_strongness_census_is_pinned():
     assert len(strong_records) == 18
 
 
-def test_bijective_preservers_are_strong():
-    for poset, field in ((CHAIN2, F2), (CHAIN2, F3), (ANTI2, F3)):
-        for rec in enumerate_preservers(poset, field).records:
-            if rec.bijective:
-                assert rec.strong
-
-
 def gl_order(k: int, q: int) -> int:
     """|GL_k(F_q)|."""
     return prod(q ** k - q ** i for i in range(k))
 
 
 @pytest.mark.parametrize("name,p", [
-    ("chain:1", 7), ("chain:2", 2), ("chain:2", 3), ("chain:2", 5), ("antichain:2", 5),
-    ("antichain:3", 2), ("antichain:3", 3), ("antichain:4", 2), ("v", 2)])
+    ("chain:1", 7), ("chain:2", 2), ("chain:2", 3), ("chain:2", 5), ("antichain:2", 3),
+    ("antichain:2", 5), ("antichain:3", 2), ("antichain:3", 3), ("antichain:4", 2), ("v", 2)])
 def test_census_strong_and_bijective_counts_match_closed_forms(name, p):
     """With m = d - n radical coordinates and S strong endomorphisms (n!
     permutations for q > 2, |GL_n(2)| / (2^n - 1) invertible GF(2) matrices
@@ -354,6 +347,23 @@ def test_census_strong_and_bijective_counts_match_closed_forms(name, p):
     assert sum(rec.strong for rec in records) == s * p ** (m * (d - 1))
     assert sum(rec.bijective for rec in records) == s * p ** (m * (n - 1)) * gl_order(m, p)
     assert all(rec.strong for rec in records if rec.bijective)
+
+
+@pytest.mark.parametrize("name,p", [
+    ("chain:2", 2), ("chain:2", 3), ("antichain:2", 3), ("chain:1", 5), ("antichain:3", 2),
+    ("v", 2)])
+def test_non_unital_preservers_factor_uniquely(name, p):
+    """Every invertibility preserver is u psi for the unit u = phi(delta) and
+    the unital preserver psi = u^-1 phi, and every such product is one, so
+    the row filter without its unital conditions keeps (q-1)^n q^m units
+    times the predicted count of unital preservers (65,536 on v over F2)."""
+    from incalg.verify import _iter_preserver_matrices
+
+    poset, field = builtin_poset(name), PrimeField(p)
+    n, d = poset.n, poset.dimension
+    survivors = sum(1 for _ in _iter_preserver_matrices(
+        poset, field, 0, p ** (d * d), unital=False))
+    assert survivors == (p - 1) ** n * p ** (d - n) * count_from_theorem(poset, field)
 
 
 @pytest.mark.parametrize("field,lemma_count", [(F3, 7), (F2, 5)])
@@ -395,7 +405,6 @@ def test_lemma_suite_exhaustive_reads_each_survivor_once(monkeypatch):
 
     for module, name in ((verify, "enumerate_preservers"), (verify, "classify"),
                          (verify, "is_strong"), (preservers, "is_strong"),
-                         (verify, "find_nonpreserved_unit"),
                          (preservers, "find_nonpreserved_unit")):
         monkeypatch.setattr(module, name, refuse(name))
     monkeypatch.setattr(LinearMap, "rank", refuse("LinearMap.rank"))
@@ -584,11 +593,12 @@ def test_analyze_map_leaves_a_gated_inverse_scan_undecided(monkeypatch):
 
     anti5 = builtin_poset("antichain:5")
     undecided = "undecided: preserves_inverses capped at |X| <= 4"
-    for phi, strong in ((LinearMap.identity(anti5, F3).scale(F3.scalar(2)), None),
-                        (LinearMap.identity(anti5, F2), True)):
+    # 2 = -1 in F3, so u = phi(delta) = 2 delta has u^2 = delta
+    for phi in (LinearMap.identity(anti5, F3).scale(F3.scalar(2)),
+                LinearMap.identity(anti5, F2)):
         report = analyze_map(phi)
         verdicts = report["verdicts"]
-        assert verdicts["preserver"] is True and verdicts["strong"] is strong
+        assert verdicts["preserver"] is True and verdicts["strong"] is True
         assert verdicts["inverse_preserving"] is None
         assert report["witnesses"]["inverse_preserving"] == undecided
 
@@ -599,7 +609,7 @@ def test_analyze_map_non_unital_inverse_preserver():
     report = analyze_map(phi)
     assert report["verdicts"]["unital"] is False
     assert report["verdicts"]["preserver"] is True
-    assert report["verdicts"]["strong"] is None
+    assert report["verdicts"]["strong"] is True
     assert report["verdicts"]["inverse_preserving"] is True
     assert report["verdicts"]["jordan"] is False
 
@@ -773,3 +783,47 @@ def test_inner_automorphisms_keep_lambda(poset, field, seed):
 
 def test_inner_automorphisms_keep_lambda_on_chain12():
     check_inner_automorphism(builtin_poset("chain:12"), Q, random.Random(5))
+
+
+def left_multiple(unit, phi):
+    """a -> unit phi(a)."""
+    poset, field = phi.poset, phi.field
+    return LinearMap.from_basis_images(poset, field, {
+        (x, y): unit * phi.apply(basis_element(poset, field, x, y))
+        for x, y in poset.basis_pairs})
+
+
+@pytest.mark.parametrize("name", ["chain:12", "antichain:16"])
+def test_analyze_map_reduces_non_unital_maps_beyond_the_scan_gates(name):
+    """Left multiplication by a unit v permutes the units, so over Q, where
+    no scan runs, v phi is a preserver iff phi is one, and strong iff phi
+    is; with v^2 != delta it preserves no inverses. The expectations come
+    from the specs and the perturbation, not from classify: the identity
+    (injective lambda), a seeded normal form, and a copy of each with 1/2
+    moved from the first to the last column of a diagonal-output row. That
+    column is radical on the chain (a late refutation) and diagonal on the
+    antichain (a diagonal value outside {0, 1})."""
+    poset = builtin_poset(name)
+    n, d = poset.n, poset.dimension
+    rng = random.Random(11)
+    identity = PreserverSpec(poset, Q, PartitionEndo(poset.elements,
+                                                     tuple(1 << x for x in range(n))),
+                             radical_projection(poset, Q))
+    specs = [identity, random_preserver_spec(poset, Q, rng)]
+    assert {spec.endo.is_injective() for spec in specs} == {True, False}
+    delta = FIElement.delta(poset, Q)
+    for spec in specs:
+        phi = build_preserver(spec)
+        rows = [list(row) for row in phi.values]
+        rows[0][d - 1] += Fraction(1, 2)
+        rows[0][0] -= Fraction(1, 2)
+        for psi, preserver in ((phi, True), (LinearMap.from_rows(poset, Q, rows), False)):
+            v = random_unit(poset, Q, rng)
+            report = analyze_map(left_multiple(v, psi))
+            verdicts = report["verdicts"]
+            assert verdicts["unital"] is False
+            assert verdicts["preserver"] is preserver
+            assert verdicts["strong"] == (spec.endo.is_injective() if preserver else None)
+            if not preserver or v * v != delta:
+                assert verdicts["inverse_preserving"] is False
+            assert report["lambda"] is None and report["psi"] is None
