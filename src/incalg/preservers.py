@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 from operator import mul
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .algebra import FIElement, basis_element, jordan_product
 from .endos import PartitionEndo, SubsetMapTable, XorEndo, _gf2_rank, _span_table
@@ -42,9 +42,11 @@ from .fields import Field, PrimeField, Scalar, format_field, parse_field
 from .posets import Poset
 
 SCAN_CAP = 10**6          # generic workload cap for exhaustive scans
-# The unit scan also has an |X| cap, since its cost per unit (an inverse and
-# two applications) grows with d: about 0.2 ms at d = 10 and 0.7 ms at d = 35,
-# so SCAN_CAP units alone would allow scans of several minutes.
+# The unit scan also has an |X| cap, since its cost per unit grows with d:
+# listing a unit with its inverse, then two applications and one product
+# per map, each about 0.05 ms at d = 10 and 0.14 ms at d = 28 (chain:4 and
+# chain:7 over Fp 3, on a 2-core Xeon), so SCAN_CAP units alone would allow
+# scans of minutes.
 INVERSE_CAP_X = 4
 
 
@@ -355,11 +357,13 @@ def extract_radical_map(phi: LinearMap) -> LinearMap:
 # predicate suite -------------------------------------------------------------
 
 
-def _require_prime(phi: LinearMap, what: str) -> PrimeField:
-    if not isinstance(phi.field, PrimeField):
-        raise InfiniteFieldError(
-            f"{what} enumerates field elements; over Q use classification instead")
-    return phi.field
+def _require_prime(field: Field, what: str, classified: bool = False) -> PrimeField:
+    """``field`` as a prime field. ``classified`` marks a question that the
+    normal form decides on every field, so the refusal over Q points to it."""
+    if not isinstance(field, PrimeField):
+        advice = "; over Q use classification instead" if classified else ""
+        raise InfiniteFieldError(f"{what} enumerates field elements{advice}")
+    return field
 
 
 def _gate(size: int, what: str, gate_override: bool):
@@ -369,7 +373,7 @@ def _gate(size: int, what: str, gate_override: bool):
 
 def find_nonpreserved_unit(phi: LinearMap, gate_override: bool = False) -> FIElement | None:
     """A unit mapped to a non-unit, or None if phi preserves invertibility."""
-    field = _require_prime(phi, "preserves_invertibility")
+    field = _require_prime(phi.field, "preserves_invertibility", classified=True)
     poset = phi.poset
     n, d = poset.n, poset.dimension
     for i, row in enumerate(phi.values[:n]):
@@ -401,7 +405,7 @@ def find_strongness_counterexample(phi: LinearMap,
     runs over all q^n diagonal patterns, which suffices because stage (i) of
     the preserver check makes image diagonals depend on input diagonals only.
     """
-    field = _require_prime(phi, "is_strong")
+    field = _require_prime(phi.field, "is_strong", classified=True)
     poset = phi.poset
     n = poset.n
     p = field.p
@@ -420,34 +424,44 @@ def find_strongness_counterexample(phi: LinearMap,
 def is_strong(phi: LinearMap, gate_override: bool = False) -> bool:
     """Checks the scan's precondition after its q^n gate (the (q-1)^n
     preserver patterns are fewer), so that a refused call scans nothing."""
-    _gate(_require_prime(phi, "is_strong").p ** phi.poset.n, "is_strong", gate_override)
+    field = _require_prime(phi.field, "is_strong", classified=True)
+    _gate(field.p ** phi.poset.n, "is_strong", gate_override)
     if not phi.is_unital() or not preserves_invertibility(phi, gate_override=gate_override):
         raise ValueError("is_strong requires a unital invertibility preserver")
     return find_strongness_counterexample(phi, gate_override=gate_override) is None
 
 
-def _units(phi: LinearMap, gate_override: bool):
-    """The units of I(X,K), streamed; refused beyond |X| <= INVERSE_CAP_X or
-    SCAN_CAP units."""
-    field = _require_prime(phi, "preserves_inverses")
-    poset = phi.poset
+def iter_units(poset: Poset, field: Field, gate_override: bool = False):
+    """Each unit u of I(X,K) with its inverse, as pairs (u, u^-1), streamed
+    in product order. The gates, |X| <= INVERSE_CAP_X and SCAN_CAP units,
+    are checked on the call, before the first unit is built. The units do
+    not depend on any map, so a scan of many maps lists them once."""
+    field = _require_prime(field, "preserves_inverses")
     n, d = poset.n, poset.dimension
     if n > INVERSE_CAP_X and not gate_override:
         raise GateError(f"preserves_inverses capped at |X| <= {INVERSE_CAP_X}", size=n)
     q = field.p
     _gate((q - 1) ** n * q ** (d - n), "preserves_inverses", gate_override)
     values = field.elements()
-    return (FIElement(poset, field, diag + tail)
-            for diag in product(values[1:], repeat=n)
-            for tail in product(values, repeat=d - n))
+    units = (FIElement(poset, field, diag + tail)
+             for diag in product(values[1:], repeat=n)
+             for tail in product(values, repeat=d - n))
+    return ((u, u.inverse()) for u in units)
 
 
 def find_inverse_counterexample(phi: LinearMap,
-                                gate_override: bool = False) -> FIElement | None:
-    """A unit u with phi(u^-1) != phi(u)^-1, or None (exhaustive over units).
-    Requires, unchecked, an invertibility preserver, unital or not."""
-    for u in _units(phi, gate_override):
-        if phi.apply(u.inverse()) != phi.apply(u).inverse():
+                                units: Iterable[tuple[FIElement, FIElement]]) -> FIElement | None:
+    """The first unit u of ``units``, pairs (u, u^-1) as ``iter_units``
+    yields them, with phi(u^-1) != phi(u)^-1, or None.
+
+    Requires, unchecked, an invertibility preserver, unital or not. Then
+    phi(u) is a unit, and in I(X,K) a one-sided inverse of a unit is its
+    inverse, so phi(u^-1) = phi(u)^-1 exactly when phi(u) phi(u^-1) = delta:
+    one product per unit, and no inverse.
+    """
+    delta = FIElement.delta(phi.poset, phi.field)
+    for u, u_inv in units:
+        if phi.apply(u) * phi.apply(u_inv) != delta:
             return u
     return None
 
@@ -455,10 +469,10 @@ def find_inverse_counterexample(phi: LinearMap,
 def preserves_inverses(phi: LinearMap, gate_override: bool = False) -> bool:
     """Checks the scan's precondition after its gates, so that a refused
     call scans nothing."""
-    _units(phi, gate_override)
+    units = iter_units(phi.poset, phi.field, gate_override)
     if not preserves_invertibility(phi, gate_override=gate_override):
         raise ValueError("preserves_inverses requires an invertibility preserver")
-    return find_inverse_counterexample(phi, gate_override=gate_override) is None
+    return find_inverse_counterexample(phi, units) is None
 
 
 def find_jordan_counterexample(phi: LinearMap) -> tuple[FIElement, FIElement] | None:
@@ -517,7 +531,7 @@ def find_idempotent_counterexample(phi: LinearMap,
                                    gate_override: bool = False) -> FIElement | None:
     """An idempotent whose image fails to be idempotent, or None; exhaustive
     over the q^d elements."""
-    field = _require_prime(phi, "preserves_idempotents")
+    field = _require_prime(phi.field, "preserves_idempotents")
     poset = phi.poset
     _gate(field.p ** poset.dimension, "preserves_idempotents", gate_override)
     for e in iter_idempotents(poset, field, gate_override=gate_override):

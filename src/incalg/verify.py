@@ -57,6 +57,7 @@ from .preservers import (
     is_jordan_endo,
     is_strong,
     iter_idempotents,
+    iter_units,
     preserves_inverses,
     preserves_invertibility,
     psi_to_json,
@@ -411,18 +412,20 @@ def _lemma_checks(phi: LinearMap, table: SubsetMapTable,
     out["vf-maps-J-to-J"] = witness
 
     # the image diagonal only depends on the input diagonal; phi(a)_D is read
-    # off the diagonal-output rows over all d columns, never the block alone
+    # off the diagonal-output rows over all d columns, never the block alone,
+    # each row through its nonzero entries
     canonical = field.canonical
+    row_supports = [[(j, c) for j, c in enumerate(row) if c] for row in rows]
 
     def image_diagonal(vals) -> list:
-        support = [(j, v) for j, v in enumerate(vals) if v]
-        return [canonical(sum([row[j] * v for j, v in support if row[j]]))
-                for row in rows]
+        return [canonical(sum([c * vals[j] for j, c in support]))
+                for support in row_supports]
 
     image_diagonals = [image_diagonal(vals) for vals in sample]
+    padding = (0,) * (poset.dimension - n)
     witness = None
     for vals, image in zip(sample, image_diagonals):
-        if image != image_diagonal(vals[:n]):  # a_D, its zero padding left out
+        if image != image_diagonal(vals[:n] + padding):  # a_D
             witness = alpha(vals)
             break
     out["vf(f)_D-is-vf(f_D)_D"] = witness
@@ -656,11 +659,12 @@ def verify_inverse_preserver_results(poset: Poset, field: PrimeField,
     verdicts = []
     delta = FIElement.delta(poset, field)
     idempotents = list(iter_idempotents(poset, field, gate_override=gate_override))
+    units = list(iter_units(poset, field, gate_override=gate_override))
     inverse_preserver_count = 0
     for index, rows in _iter_preserver_matrices(poset, field, 0, space):
         phi = LinearMap._of_values(poset, field, rows)
         instance = f"map #{index} on {poset.display_name} over {format_field(field)}"
-        ip = find_inverse_counterexample(phi, gate_override=gate_override) is None
+        ip = find_inverse_counterexample(phi, units) is None
         je = is_jordan_endo(phi)
         verdicts.append(LemmaVerdict(
             "vf-pres-inverses=>vf-Jordan-homo", instance, ip == je,
@@ -694,14 +698,15 @@ def verify_inverse_preserver_results(poset: Poset, field: PrimeField,
             phi = LinearMap._of_values(poset, field, rows)
             if not phi.is_bijective():
                 continue
-            if find_inverse_counterexample(phi, gate_override=gate_override) is not None:
+            if find_inverse_counterexample(phi, units) is not None:
                 continue
             instance = (f"bijective inverse preserver #{index} on "
                         f"{poset.display_name} over {format_field(field)}")
             image_delta = phi.apply(delta)
+            central = image_delta.is_central()
             verdicts.append(LemmaVerdict(
-                "vf(dl)-central", instance, image_delta.is_central(),
-                None if image_delta.is_central()
+                "vf(dl)-central", instance, central,
+                None if central
                 else f"phi(delta) = {format_element(image_delta)} is not central"))
             sign_ok = image_delta in (delta, -delta)
             signed_jordan = False
@@ -875,7 +880,7 @@ def analyze_map(phi: LinearMap, gate_override: bool = False) -> dict:
         # u^2 = delta, or characteristic 2, where Jordan does not decide (z2-not-jordan)
         try:
             verdicts["inverse_preserving"] = find_inverse_counterexample(
-                phi, gate_override=gate_override) is None
+                phi, iter_units(poset, field, gate_override)) is None
         except (GateError, InfiniteFieldError) as exc:
             witnesses["inverse_preserving"] = f"undecided: {exc}"
     verdicts["jordan"] = jordan_pair is None

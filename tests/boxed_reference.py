@@ -20,6 +20,10 @@ applies the map to each Jordan product, with products through
 O(n 2^n) checks replace (the library's 4^n gate on those scans is gone, and
 so is its call here). :func:`boxed_span_table` builds a span table entry by
 entry, by the lowest-bit recurrence that the library's doubling replaced.
+:func:`boxed_find_inverse_counterexample` builds every unit in its scan and
+compares phi(u^-1) with phi(u)^-1 through :func:`boxed_apply` and
+:func:`boxed_inverse`, where the library lists the units with their inverses
+once and tests phi(u) phi(u^-1) = delta.
 """
 
 from itertools import product
@@ -98,7 +102,7 @@ def boxed_extract_subset_map(phi):
 
 
 def boxed_find_nonpreserved_unit(phi, gate_override=False):
-    field = _require_prime(phi, "preserves_invertibility")
+    field = _require_prime(phi.field, "preserves_invertibility", classified=True)
     poset = phi.poset
     n, d = poset.n, poset.dimension
     delta = FIElement.delta(poset, field)
@@ -145,7 +149,7 @@ def boxed_spec_checks(poset, field, endo, radical_map):
 
 
 def boxed_find_strongness_counterexample(phi, gate_override=False):
-    field = _require_prime(phi, "is_strong")
+    field = _require_prime(phi.field, "is_strong", classified=True)
     if (not boxed_is_unital(phi)
             or boxed_find_nonpreserved_unit(phi, gate_override) is not None):
         raise ValueError("is_strong requires a unital invertibility preserver")
@@ -178,6 +182,20 @@ def boxed_inverse(a):
             break
         acc = acc + term
     return boxed_convolve(acc, diag_inv)
+
+
+def boxed_find_inverse_counterexample(phi, gate_override=False):
+    field = _require_prime(phi.field, "preserves_inverses")
+    poset = phi.poset
+    n, d = poset.n, poset.dimension
+    _gate((field.p - 1) ** n * field.p ** (d - n), "preserves_inverses", gate_override)
+    values = field.elements()
+    for diag in product(values[1:], repeat=n):
+        for tail in product(values, repeat=d - n):
+            u = FIElement(poset, field, diag + tail)
+            if boxed_apply(phi, boxed_inverse(u)) != boxed_inverse(boxed_apply(phi, u)):
+                return u
+    return None
 
 
 def boxed_lemma_checks(phi, table, sample):

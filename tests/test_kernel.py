@@ -39,11 +39,13 @@ from incalg.algebra import basis_element, format_element
 from incalg.preservers import (
     _column_masks,
     _rank_of_values,
+    find_inverse_counterexample,
     find_jordan_counterexample,
     find_nonpreserved_unit,
     find_strongness_counterexample,
     is_jordan_endo,
     is_strong,
+    iter_units,
     preserves_inverses,
     preserves_invertibility,
 )
@@ -53,6 +55,7 @@ from boxed_reference import (
     boxed_apply,
     boxed_convolve,
     boxed_extract_subset_map,
+    boxed_find_inverse_counterexample,
     boxed_find_jordan_counterexample,
     boxed_find_nonpreserved_unit,
     boxed_find_strongness_counterexample,
@@ -661,3 +664,58 @@ def test_analysis_cases_reach_every_verdict():
     assert {(True, True), (True, False),
             (False, True), (False, False), (True, "jordan differs")} <= seen
     assert (False, "jordan differs") not in seen
+
+
+INVERSE_DIFF_CAP = 250  # units for the boxed unit scan, to keep the property fast
+
+
+def unit_count(poset, field) -> int:
+    return (field.p - 1) ** poset.n * field.p ** (poset.dimension - poset.n)
+
+
+@st.composite
+def unit_scan_instances(draw):
+    """A poset of the pool with n <= 4, a field among F2, F3 and F5 whose
+    units fit INVERSE_DIFF_CAP, a map kind, a Jordan kind and a seed."""
+    poset = draw(st.sampled_from([p for p in POSET_POOL if p.n <= 4]))
+    field = draw(st.sampled_from(
+        [f for f in (F2, F3, F5) if unit_count(poset, f) <= INVERSE_DIFF_CAP]))
+    kind = draw(st.sampled_from(MAP_KINDS))
+    jordan_kind = draw(st.sampled_from(JORDAN_KINDS))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    return poset, field, kind, jordan_kind, rng
+
+
+def inverse_scan_cases(poset, field, kind: str, jordan_kind: str, rng: random.Random):
+    """The preservers, unital or not, among the analysis cases."""
+    return [phi for phi in analysis_cases(poset, field, kind, jordan_kind, rng)
+            if preserves_invertibility(phi)]
+
+
+@given(unit_scan_instances())
+def test_inverse_scan_matches_boxed_reference(instance):
+    """The product test phi(u) phi(u^-1) = delta over the listed units finds
+    the same first unit as the per-unit comparison of phi(u^-1) with
+    phi(u)^-1, or None."""
+    poset, field, kind, jordan_kind, rng = instance
+    for phi in inverse_scan_cases(poset, field, kind, jordan_kind, rng):
+        assert (find_inverse_counterexample(phi, iter_units(poset, field))
+                == boxed_find_inverse_counterexample(phi))
+
+
+def test_inverse_scan_cases_reach_every_outcome():
+    """The cases reach unital and non-unital preservers that preserve
+    inverses and ones that do not, over F2 and over odd fields."""
+    rng = random.Random(0)
+    seen = set()
+    for field in (F2, F3, F5):
+        for poset in POSET_POOL:
+            if poset.n > 4 or unit_count(poset, field) > INVERSE_DIFF_CAP:
+                continue
+            for kind in MAP_KINDS:
+                for jordan_kind in JORDAN_KINDS:
+                    for phi in inverse_scan_cases(poset, field, kind, jordan_kind, rng):
+                        counter = find_inverse_counterexample(phi, iter_units(poset, field))
+                        seen.add((field.p == 2, phi.is_unital(), counter is None))
+    assert {(char2, unital, ip) for char2 in (True, False)
+            for unital in (True, False) for ip in (True, False)} - seen == set()

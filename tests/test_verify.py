@@ -499,6 +499,23 @@ def test_inverse_preserver_results_char3():
     assert len(pm) > 0  # bijective inverse preservers exist (e.g. +-identity)
 
 
+def test_inverse_suite_inverts_each_unit_once(monkeypatch):
+    """The units and their inverses do not depend on the map, so one suite
+    call inverts each of the 12 units of I(chain:2, F3) once, and the unit
+    scan of every map multiplies their images instead."""
+    calls = []
+    inverse = FIElement.inverse
+
+    def counted(self):
+        calls.append(self)
+        return inverse(self)
+
+    monkeypatch.setattr(FIElement, "inverse", counted)
+    verdicts = verify_inverse_preserver_results(CHAIN2, F3)
+    assert len(verdicts) == 144 and all(v.passed for v in verdicts)
+    assert len(calls) == 12 and len(set(calls)) == 12
+
+
 def test_inverse_preserver_results_char2_routes_to_counterexample():
     verdicts = verify_inverse_preserver_results(builtin_poset("chain:3"), F2)
     assert len(verdicts) == 2
@@ -612,6 +629,19 @@ def test_analyze_map_non_unital_inverse_preserver():
     assert report["verdicts"]["strong"] is True
     assert report["verdicts"]["inverse_preserving"] is True
     assert report["verdicts"]["jordan"] is False
+
+
+def test_analyze_map_over_q_gives_classification_advice_only_where_it_decides():
+    """Over Q the unit scan cannot run, and classification does not decide
+    inverse preservation, so the undecided witness of -identity does not
+    point to it; the preserver check, which classification decides, does."""
+    report = analyze_map(LinearMap.identity(CHAIN2, Q).scale(-1))
+    assert report["verdicts"]["preserver"] is True
+    assert report["verdicts"]["inverse_preserving"] is None
+    assert report["witnesses"]["inverse_preserving"] == (
+        "undecided: preserves_inverses enumerates field elements")
+    with pytest.raises(InfiniteFieldError, match="over Q use classification instead"):
+        preserves_invertibility(LinearMap.identity(CHAIN2, Q))
 
 
 def test_random_specs_respect_field_regime():
