@@ -288,10 +288,12 @@ def format_poset(poset: Poset) -> str:
 
 
 def resolve_poset(spec: str) -> Poset:
-    """Resolve a builtin literal (``chain:2`` ...) or a poset file path.
+    """Resolve a builtin literal (``chain:2`` ...), a poset file path, or
+    ``dual(<reference>)``, tried in that order.
 
     The resolved poset keeps the reference string as its name, so files
-    that mention it serialize back to the same reference.
+    that mention it serialize back to the same reference: ``Poset.dual``
+    names the dual of ``v`` as ``dual(v)``.
     """
     import os
 
@@ -302,4 +304,6 @@ def resolve_poset(spec: str) -> Poset:
     if os.path.exists(spec):
         with open(spec, encoding="utf-8") as fh:
             return parse_poset(fh.read(), name=spec)
+    if spec.startswith("dual(") and spec.endswith(")"):
+        return resolve_poset(spec[len("dual("):-1]).dual()
     raise PosetError(f"not a builtin poset and not a file: {spec!r}")

@@ -42,12 +42,6 @@ from .fields import Field, PrimeField, Scalar, format_field, parse_field
 from .posets import Poset
 
 SCAN_CAP = 10**6          # generic workload cap for exhaustive scans
-# The unit scan also has an |X| cap, since its cost per unit grows with d:
-# listing a unit with its inverse, then two applications and one product
-# per map, each about 0.05 ms at d = 10 and 0.14 ms at d = 28 (chain:4 and
-# chain:7 over Fp 3, on a 2-core Xeon), so SCAN_CAP units alone would allow
-# scans of minutes.
-INVERSE_CAP_X = 4
 
 
 class LinearMap:
@@ -433,13 +427,11 @@ def is_strong(phi: LinearMap, gate_override: bool = False) -> bool:
 
 def iter_units(poset: Poset, field: Field, gate_override: bool = False):
     """Each unit u of I(X,K) with its inverse, as pairs (u, u^-1), streamed
-    in product order. The gates, |X| <= INVERSE_CAP_X and SCAN_CAP units,
-    are checked on the call, before the first unit is built. The units do
-    not depend on any map, so a scan of many maps lists them once."""
+    in product order. The gate, (q-1)^n q^(d-n) <= SCAN_CAP units, is
+    checked on the call, before the first unit is built. The units do not
+    depend on any map, so a scan of many maps lists them once."""
     field = _require_prime(field, "preserves_inverses")
     n, d = poset.n, poset.dimension
-    if n > INVERSE_CAP_X and not gate_override:
-        raise GateError(f"preserves_inverses capped at |X| <= {INVERSE_CAP_X}", size=n)
     q = field.p
     _gate((q - 1) ** n * q ** (d - n), "preserves_inverses", gate_override)
     values = field.elements()
@@ -467,7 +459,7 @@ def find_inverse_counterexample(phi: LinearMap,
 
 
 def preserves_inverses(phi: LinearMap, gate_override: bool = False) -> bool:
-    """Checks the scan's precondition after its gates, so that a refused
+    """Checks the scan's precondition after its gate, so that a refused
     call scans nothing."""
     units = iter_units(phi.poset, phi.field, gate_override)
     if not preserves_invertibility(phi, gate_override=gate_override):
@@ -518,9 +510,10 @@ def is_jordan_endo(phi: LinearMap) -> bool:
 
 def iter_idempotents(poset: Poset, field: PrimeField,
                      gate_override: bool = False):
-    """All idempotents of I(X,K), by exhaustive scan of the q^d elements."""
+    """All idempotents of I(X,K), by exhaustive scan of the q^d elements,
+    gated on that count on the first step."""
     d = poset.dimension
-    _gate(field.p ** d, "iter_idempotents", gate_override)
+    _gate(field.p ** d, "preserves_idempotents", gate_override)
     for values in product(field.elements(), repeat=d):
         a = FIElement(poset, field, values)
         if a.is_idempotent():
@@ -532,9 +525,7 @@ def find_idempotent_counterexample(phi: LinearMap,
     """An idempotent whose image fails to be idempotent, or None; exhaustive
     over the q^d elements."""
     field = _require_prime(phi.field, "preserves_idempotents")
-    poset = phi.poset
-    _gate(field.p ** poset.dimension, "preserves_idempotents", gate_override)
-    for e in iter_idempotents(poset, field, gate_override=gate_override):
+    for e in iter_idempotents(phi.poset, field, gate_override=gate_override):
         if not phi.apply(e).is_idempotent():
             return e
     return None

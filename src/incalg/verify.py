@@ -835,7 +835,8 @@ def analyze_map(phi: LinearMap, gate_override: bool = False) -> dict:
     u^-1 phi (left multiplication by u permutes the units), and is then
     strong iff lambda(psi) is injective. It preserves inverses iff it is
     Jordan when unital outside characteristic 2, never when u^2 != delta, and
-    else as the unit scan says (undecided beyond its gate or over Q).
+    else as the unit scan says: undecided over Q, or beyond its gate of
+    (q-1)^n q^(d-n) <= SCAN_CAP units.
     ``lambda`` and ``psi`` are the normal form of a unital preserver only.
     """
     poset, field = phi.poset, phi.field

@@ -161,6 +161,18 @@ def test_lemmas_randomized_without_trials_exits_two(capsys):
                                 f"one trial, got {trials}\n")
 
 
+def test_check_reads_a_map_over_a_dual_poset(tmp_path, capsys):
+    """A map over ``builtin_poset("v").dual()`` is written with the poset
+    ``dual(v)``, which the CLI resolves."""
+    dual = builtin_poset("v").dual()
+    phi = build_preserver(random_preserver_spec(dual, PrimeField(3), random.Random(1)))
+    map_path = tmp_path / "map.txt"
+    map_path.write_text(format_linear_map(phi))
+    code, out = run(capsys, "check", "--map", str(map_path))
+    assert code == 0
+    assert out.startswith("map on dual(v) over Fp 3\n")
+
+
 def test_check_exits_zero_when_only_the_inverse_scan_is_gated(tmp_path, capsys, monkeypatch):
     from incalg import preservers
 
@@ -173,13 +185,20 @@ def test_check_exits_zero_when_only_the_inverse_scan_is_gated(tmp_path, capsys, 
     assert code == 0
     assert "  strong: yes\n  inverse_preserving: yes\n" in out
     assert "witness" not in out
+    monkeypatch.undo()
     # in characteristic 2 only the unit scan decides inverse preservation,
-    # and it is capped at |X| <= 4
+    # gated on its unit count: 1 unit on antichain:5, 2^21 on chain:7
     map_path = fp_identity_map_file(tmp_path, "antichain:5", 2)
     code, out = run(capsys, "check", "--map", str(map_path))
     assert code == 0
+    assert "  inverse_preserving: yes\n" in out
+    assert "witness" not in out
+    map_path = fp_identity_map_file(tmp_path, "chain:7", 2)
+    code, out = run(capsys, "check", "--map", str(map_path))
+    assert code == 0
     assert ("  inverse_preserving: undecided\n"
-            "    witness: undecided: preserves_inverses capped at |X| <= 4") in out
+            "    witness: undecided: preserves_inverses would scan 2097152 cases "
+            "(cap 1000000)") in out
     code, out = run(capsys, "check", "--map", str(map_path), "--json")
     assert code == 0
     verdicts = json.loads(out)["verdicts"]

@@ -590,6 +590,10 @@ def test_jordan_cases_reach_every_outcome():
 UNIT_CAP = 1000  # units for the inverse scan, to keep the property fast
 
 
+def unit_count(poset, field) -> int:
+    return (field.p - 1) ** poset.n * field.p ** (poset.dimension - poset.n)
+
+
 def scan_verdicts(phi: LinearMap) -> dict:
     """The verdicts of ``analyze_map`` as the brute-force scans reach them:
     the preserver scan, the q^n strongness scan on a preserver, unital or
@@ -597,7 +601,6 @@ def scan_verdicts(phi: LinearMap) -> dict:
     UNIT_CAP (None beyond it). A non-preserver sends some unit to a
     non-unit, so it preserves no inverses."""
     poset, field = phi.poset, phi.field
-    n, d = poset.n, poset.dimension
     preserver = preserves_invertibility(phi)
     out = {"preserver": preserver, "strong": None, "strong witness": None,
            "inverse_preserving": False if not preserver else None}
@@ -606,7 +609,7 @@ def scan_verdicts(phi: LinearMap) -> dict:
         out["strong"] = counter is None
         if counter is not None:
             out["strong witness"] = f"non-unit {format_element(counter)} maps to a unit"
-    if preserver and n <= 4 and (field.p - 1) ** n * field.p ** (d - n) <= UNIT_CAP:
+    if preserver and unit_count(poset, field) <= UNIT_CAP:
         out["inverse_preserving"] = preserves_inverses(phi)
     return out
 
@@ -669,15 +672,11 @@ def test_analysis_cases_reach_every_verdict():
 INVERSE_DIFF_CAP = 250  # units for the boxed unit scan, to keep the property fast
 
 
-def unit_count(poset, field) -> int:
-    return (field.p - 1) ** poset.n * field.p ** (poset.dimension - poset.n)
-
-
 @st.composite
 def unit_scan_instances(draw):
-    """A poset of the pool with n <= 4, a field among F2, F3 and F5 whose
-    units fit INVERSE_DIFF_CAP, a map kind, a Jordan kind and a seed."""
-    poset = draw(st.sampled_from([p for p in POSET_POOL if p.n <= 4]))
+    """A poset of the pool, a field among F2, F3 and F5 whose units fit
+    INVERSE_DIFF_CAP, a map kind, a Jordan kind and a seed."""
+    poset = draw(st.sampled_from(POSET_POOL))
     field = draw(st.sampled_from(
         [f for f in (F2, F3, F5) if unit_count(poset, f) <= INVERSE_DIFF_CAP]))
     kind = draw(st.sampled_from(MAP_KINDS))
@@ -710,7 +709,7 @@ def test_inverse_scan_cases_reach_every_outcome():
     seen = set()
     for field in (F2, F3, F5):
         for poset in POSET_POOL:
-            if poset.n > 4 or unit_count(poset, field) > INVERSE_DIFF_CAP:
+            if unit_count(poset, field) > INVERSE_DIFF_CAP:
                 continue
             for kind in MAP_KINDS:
                 for jordan_kind in JORDAN_KINDS:

@@ -466,6 +466,31 @@ def test_spec_file_round_trip():
     assert parse_preserver_spec(format_preserver_spec(xspec)) == xspec
 
 
+def test_map_and_spec_files_round_trip_over_a_dual_poset(tmp_path, monkeypatch):
+    """``Poset.dual`` names the dual of ``v`` as ``dual(v)``, and of a poset
+    file as ``dual(<path>)``; map and spec files that write those names
+    parse back to the same poset, map and normal form."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "mixed.txt").write_text(format_poset(POSET_POOL[-1]))
+    rng = random.Random(3)
+    for dual, name in ((builtin_poset("v").dual(), "dual(v)"),
+                       (resolve_poset("mixed.txt").dual(), "dual(mixed.txt)")):
+        assert dual.name == name and resolve_poset(name) == dual
+        for field in (F2, F3, Q):
+            spec = random_preserver_spec(dual, field, rng)
+            phi = build_preserver(spec)
+            text = format_linear_map(phi)
+            assert f"poset: {name}\n" in text
+            assert parse_linear_map(text) == phi
+            assert format_linear_map(parse_linear_map(text)) == text
+            text = format_preserver_spec(spec)
+            assert parse_preserver_spec(text) == spec
+            assert format_preserver_spec(parse_preserver_spec(text)) == text
+    assert resolve_poset("dual(dual(v))") == builtin_poset("v")
+    with pytest.raises(PosetError, match="'nowhere.txt'"):
+        resolve_poset("dual(nowhere.txt)")
+
+
 def test_spec_file_round_trip_with_empty_psi_block():
     endo = PartitionEndo(ANTI2.elements, (0b10, 0b01))
     spec = PreserverSpec(ANTI2, F3, endo, LinearMap.zero(ANTI2, F3))

@@ -12,7 +12,7 @@ import pytest
 
 from incalg.cli import main
 from incalg.posets import ALGEBRA_SIZE_CAP
-from incalg.preservers import INVERSE_CAP_X, SCAN_CAP
+from incalg.preservers import SCAN_CAP
 from incalg.verify import CENSUS_SPACE_CAP
 
 README = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
@@ -87,7 +87,7 @@ def test_gate_table_states_the_caps():
         ("operation", "gate"),
         ("algebra construction", f"`n <= {ALGEBRA_SIZE_CAP}`"),
         ("preserver / strongness scans", f"`(q-1)^n`, `q^n <= {scan}` patterns"),
-        ("inverse-preservation scan", f"`n <= {INVERSE_CAP_X}`, `<= {scan}` units"),
+        ("inverse-preservation scan", f"`(q-1)^n q^(d-n) <= {scan}` units"),
         ("idempotent scan", f"`q^d <= {scan}`"),
         ("lemma partition law", f"`<= {scan}` partitions into `<= q` blocks"),
         ("census", f"`q^(d^2) <= {power_of_ten(CENSUS_SPACE_CAP)}`, and `(q-1)^n`, "

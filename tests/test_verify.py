@@ -17,6 +17,7 @@ from incalg import (
     InfiniteFieldError,
     LinearMap,
     PartitionEndo,
+    Poset,
     PrimeField,
     PreserverSpec,
     XorEndo,
@@ -29,6 +30,7 @@ from incalg import (
     enumerate_specs,
     is_strong,
     merge_census,
+    preserves_inverses,
     preserves_invertibility,
     random_preserver_spec,
     reproduce_example,
@@ -595,9 +597,10 @@ def test_analyze_map_leaves_a_gated_inverse_scan_undecided(monkeypatch):
     """Strongness is read off the power-set endomorphism, and inverse
     preservation off the Jordan verdict outside characteristic 2, so no scan
     gate applies to a unital preserver over an odd prime field. The unit
-    scan still decides a non-unital preserver and a preserver over F_2, and
-    past its gate that verdict is undecided while the map is still reported
-    as a preserver."""
+    scan still decides a non-unital preserver and a preserver over F_2. It
+    is gated on its exact unit count, (q-1)^n q^(d-n), not on n: it decides
+    at n = 5 when the units are few, and past the count the verdict is
+    undecided while the map is still reported as a preserver."""
     from incalg import preservers
 
     monkeypatch.setattr(preservers, "SCAN_CAP", 1000)
@@ -607,17 +610,30 @@ def test_analyze_map_leaves_a_gated_inverse_scan_undecided(monkeypatch):
         "inverse_preserving": True, "jordan": True}
     assert report["witnesses"] == {}
     assert report["lambda"]["kind"] == "partition"
+    monkeypatch.undo()
 
     anti5 = builtin_poset("antichain:5")
-    undecided = "undecided: preserves_inverses capped at |X| <= 4"
-    # 2 = -1 in F3, so u = phi(delta) = 2 delta has u^2 = delta
+    # 2 = -1 in F3, so u = phi(delta) = 2 delta has u^2 = delta; the units
+    # number 2^5 = 32 over F3 and 1 over F2
     for phi in (LinearMap.identity(anti5, F3).scale(F3.scalar(2)),
                 LinearMap.identity(anti5, F2)):
         report = analyze_map(phi)
         verdicts = report["verdicts"]
         assert verdicts["preserver"] is True and verdicts["strong"] is True
-        assert verdicts["inverse_preserving"] is None
-        assert report["witnesses"]["inverse_preserving"] == undecided
+        assert verdicts["inverse_preserving"] is True
+        assert "inverse_preserving" not in report["witnesses"]
+
+    # chain:7 over F2 has 2^21 units, over the 10^6 gate
+    chain7 = builtin_poset("chain:7")
+    report = analyze_map(LinearMap.identity(chain7, F2))
+    verdicts = report["verdicts"]
+    assert verdicts["preserver"] is True and verdicts["strong"] is True
+    assert verdicts["inverse_preserving"] is None
+    assert report["witnesses"]["inverse_preserving"] == (
+        "undecided: preserves_inverses would scan 2097152 cases (cap 1000000)")
+    with pytest.raises(GateError) as info:
+        preserves_inverses(LinearMap.identity(chain7, F2))
+    assert info.value.size == 2**21
 
 
 def test_analyze_map_non_unital_inverse_preserver():
@@ -813,6 +829,46 @@ def test_inner_automorphisms_keep_lambda(poset, field, seed):
 
 def test_inner_automorphisms_keep_lambda_on_chain12():
     check_inner_automorphism(builtin_poset("chain:12"), Q, random.Random(5))
+
+
+def transposed(phi, dual):
+    """The matrix of phi conjugated by the transpose e_xy -> e_yx onto
+    ``dual``: coordinate (x, y) of phi becomes coordinate (y, x)."""
+    index = dual.pair_index
+    order = sorted(range(phi.poset.dimension),
+                   key=lambda k: index[phi.poset.basis_pairs[k][::-1]])
+    return LinearMap._of_values(dual, phi.field, tuple(
+        tuple(phi.values[i][j] for j in order) for i in order))
+
+
+# a < d and b < c: the dual's pairs (c, b), (d, a) sort in the other order
+CROSSED = Poset.from_relations(["a", "b", "c", "d"], [("a", "d"), ("b", "c")],
+                               name="crossed")
+
+
+@given(st.sampled_from(POSET_POOL + [CROSSED]), st.sampled_from([F2, F3, F5, Q]),
+       st.integers(0, 2**32 - 1))
+def test_duality_keeps_lambda_and_transposes_psi(poset, field, seed):
+    """The transpose I(X,K) -> I(X^op,K) is an anti-automorphism that fixes
+    each diagonal coordinate, so the conjugated preserver has the same
+    lambda, and its psi is the spec's with rows and columns moved by the
+    same pair bijection (x, y) -> (y, x)."""
+    spec = random_preserver_spec(poset, field, random.Random(seed))
+    dual = poset.dual()
+    assert classify(transposed(build_preserver(spec), dual)) == PreserverSpec(
+        dual, field, spec.endo, transposed(spec.radical_map, dual))
+
+
+def test_duality_moves_psi_coordinates_only_on_the_crossed_poset():
+    """On every poset of the pool the pair bijection (x, y) -> (y, x) keeps
+    the coordinate order, so the property needs the crossed poset to show
+    that psi is moved by it, not copied."""
+    def keeps_order(poset):
+        index = poset.dual().pair_index
+        return [index[pair[::-1]] for pair in poset.basis_pairs] == list(
+            range(poset.dimension))
+
+    assert all(map(keeps_order, POSET_POOL)) and not keeps_order(CROSSED)
 
 
 def left_multiple(unit, phi):
