@@ -4,8 +4,8 @@ Subsets are int bitmasks over a fixed ordered tuple of element labels. Two
 normal forms are implemented: Boolean-algebra endomorphisms as partitions of
 X (the block of x is the image of the singleton {x}), and additive
 endomorphisms of (P(X), symmetric difference) fixing X as GF(2) matrices,
-stored by columns. Arbitrary maps P(X) -> P(X) are held as explicit tables
-until their structure is known.
+stored by columns; both are read off their singleton images. Arbitrary
+maps P(X) -> P(X) are held as explicit tables until their structure is known.
 """
 
 from __future__ import annotations
@@ -32,8 +32,33 @@ def labels_of(elements: tuple[str, ...], mask: int) -> frozenset[str]:
     return frozenset(x for i, x in enumerate(elements) if mask >> i & 1)
 
 
+class _SingletonImageEndo:
+    """What both normal forms answer alike from ``images`` (``images[i]`` is
+    the image of {x_i}): a subset maps to the XOR of its members' images,
+    which for a partition's disjoint blocks is their union."""
+
+    @property
+    def n(self) -> int:
+        return len(self.elements)
+
+    def apply_mask(self, mask: int) -> int:
+        out = 0
+        for i, image in enumerate(self.images):
+            if mask >> i & 1:
+                out ^= image
+        return out
+
+    def apply(self, labels: Iterable[str]) -> frozenset[str]:
+        return labels_of(self.elements, self.apply_mask(mask_of(self.elements, labels)))
+
+    def is_injective(self) -> bool:
+        """Injective on P(X) iff the singleton images are independent over
+        GF(2); for a partition, iff no block is empty."""
+        return _gf2_rank(self.images) == self.n
+
+
 @dataclass(frozen=True)
-class PartitionEndo:
+class PartitionEndo(_SingletonImageEndo):
     """A Boolean-algebra endomorphism of P(X), stored as the partition of X
     into blocks indexed by X (empty blocks allowed): the image of a subset
     is the disjoint union of the blocks of its members."""
@@ -54,22 +79,18 @@ class PartitionEndo:
         if union != full:
             raise MismatchError("blocks do not cover the ambient set")
 
+    @classmethod
+    def from_owners(cls, elements: tuple[str, ...], owners: Iterable[int]) -> "PartitionEndo":
+        """The partition of a function X -> X: y lies in the block of
+        ``owners[y]``."""
+        blocks = [0] * len(elements)
+        for y, x in enumerate(owners):
+            blocks[x] |= 1 << y
+        return cls(elements, tuple(blocks))
+
     @property
-    def n(self) -> int:
-        return len(self.elements)
-
-    def apply_mask(self, mask: int) -> int:
-        out = 0
-        i = 0
-        while mask:
-            if mask & 1:
-                out |= self.blocks[i]
-            mask >>= 1
-            i += 1
-        return out
-
-    def apply(self, labels: Iterable[str]) -> frozenset[str]:
-        return labels_of(self.elements, self.apply_mask(mask_of(self.elements, labels)))
+    def images(self) -> tuple[int, ...]:
+        return self.blocks
 
     def owners(self) -> tuple[int, ...]:
         """owners()[y] = the unique x-index whose block contains y."""
@@ -80,12 +101,9 @@ class PartitionEndo:
                     owner[j] = i
         return tuple(owner)
 
+    # kept per class: perfbench/tracer.py wraps each form's table via its __dict__
     def table(self) -> "SubsetMapTable":
         return SubsetMapTable(self.elements, _span_table(self.blocks))
-
-    def is_injective(self) -> bool:
-        """Injective on P(X) iff no block is empty."""
-        return all(self.blocks)
 
     def automorphism(self) -> dict[str, str] | None:
         """The underlying bijection x -> the element of its block, when every
@@ -99,7 +117,7 @@ class PartitionEndo:
 
 
 @dataclass(frozen=True)
-class XorEndo:
+class XorEndo(_SingletonImageEndo):
     """An additive endomorphism of (P(X), symmetric difference) fixing X,
     stored as the GF(2) matrix columns: columns[i] is the image of {x_i}."""
 
@@ -113,41 +131,36 @@ class XorEndo:
         full = (1 << n) - 1
         acc = 0
         for c in self.columns:
+            if c & ~full:
+                raise MismatchError("a column is not a subset of the ambient set")
             acc ^= c
         if acc != full:
             raise MismatchError("columns must XOR to the full set (the map must fix X)")
 
+    @classmethod
+    def from_head(cls, elements: tuple[str, ...], head: Iterable[int]) -> "XorEndo":
+        """The columns ``head``, then the last one, which completes their XOR
+        to X (with no elements there is no column)."""
+        head = tuple(head)
+        last = (1 << len(elements)) - 1
+        for c in head:
+            last ^= c
+        return cls(elements, head + (last,) if elements else head)
+
     @property
-    def n(self) -> int:
-        return len(self.elements)
+    def images(self) -> tuple[int, ...]:
+        return self.columns
 
-    def apply_mask(self, mask: int) -> int:
-        out = 0
-        i = 0
-        while mask:
-            if mask & 1:
-                out ^= self.columns[i]
-            mask >>= 1
-            i += 1
-        return out
-
-    def apply(self, labels: Iterable[str]) -> frozenset[str]:
-        return labels_of(self.elements, self.apply_mask(mask_of(self.elements, labels)))
-
+    # kept per class: perfbench/tracer.py wraps each form's table via its __dict__
     def table(self) -> "SubsetMapTable":
         return SubsetMapTable(self.elements, _span_table(self.columns))
 
-    def is_injective(self) -> bool:
-        return _gf2_rank(self.columns) == self.n
-
     def automorphism(self) -> "XorEndo | None":
         """The inverse map when the matrix is invertible over GF(2); None
-        otherwise."""
-        rows = _transpose(self.columns, self.n)
-        inv_rows = _gf2_inverse(rows, self.n)
-        if inv_rows is None:
-            return None
-        return XorEndo(self.elements, _transpose(inv_rows, self.n))
+        otherwise. Read as rows, the columns are A^T, whose inverse
+        (A^-1)^T has the inverse's columns as rows."""
+        inverse = _gf2_inverse(self.columns, self.n)
+        return None if inverse is None else XorEndo(self.elements, inverse)
 
 
 @dataclass(frozen=True)
@@ -178,11 +191,11 @@ AnyEndo = Union[PartitionEndo, XorEndo, SubsetMapTable]
 
 
 def _span_table(images: tuple[int, ...]) -> tuple[int, ...]:
-    """The image of every mask of a map that XORs the images of the
-    singletons, by doubling: the images of the masks below ``1 << (k + 1)``
-    are those below ``1 << k``, then the same images XORed with
-    ``images[k]``. For pairwise disjoint images, such as the blocks of a
-    partition, XOR is OR, so this is also the union span."""
+    """The table of ``apply_mask`` for the singleton images ``images``,
+    built by doubling: the images of the masks below ``1 << (k + 1)`` are
+    those below ``1 << k``, then the same images XORed with ``images[k]``.
+    Both normal forms share it, since a partition's blocks are pairwise
+    disjoint and XOR is then their union."""
     t = [0]
     for c in images:
         t += [v ^ c for v in t]
@@ -190,12 +203,6 @@ def _span_table(images: tuple[int, ...]) -> tuple[int, ...]:
 
 
 # GF(2) linear algebra on bitmask rows ------------------------------------
-
-def _transpose(masks: tuple[int, ...], n: int) -> tuple[int, ...]:
-    return tuple(
-        sum(((masks[j] >> i) & 1) << j for j in range(n)) for i in range(n)
-    )
-
 
 def _gf2_rank(masks: tuple[int, ...]) -> int:
     rank = 0
@@ -282,18 +289,18 @@ def to_partition(table: SubsetMapTable) -> PartitionEndo:
 
 
 def to_xor_endo(table: SubsetMapTable) -> XorEndo:
-    """Recover the GF(2)-matrix normal form of an additive map fixing X."""
-    n = table.n
-    full = (1 << n) - 1
-    columns = tuple(table.table[1 << i] for i in range(n))
-    acc = 0
-    for c in columns:
-        acc ^= c
-    if table.table[full] != full or acc != full:
+    """Recover the GF(2)-matrix normal form of an additive map fixing X:
+    the columns are the images of singletons, which ``XorEndo`` requires to
+    XOR to X, and the table must equal their span."""
+    full = (1 << table.n) - 1
+    try:
+        endo = XorEndo(table.elements, tuple(table.table[1 << i] for i in range(table.n)))
+    except MismatchError:
+        endo = None
+    if endo is None or table.table[full] != full:
         raise ClassificationError(
             "lb-prese-symm-diff",
             "table does not fix X, or its singleton images do not combine to X")
-    endo = XorEndo(table.elements, columns)
     additive = endo.table().table
     if additive != table.table:
         m = next(m for m, (a, b) in enumerate(zip(additive, table.table)) if a != b)
@@ -307,27 +314,17 @@ def to_xor_endo(table: SubsetMapTable) -> XorEndo:
 def enumerate_endos(elements: tuple[str, ...], regime: str) -> Iterator[AnyEndo]:
     """Stream every endomorphism in the given normal form, lazily.
 
-    ``boolean`` streams all PartitionEndos (one per function X -> X);
-    ``xor`` streams all XorEndos (all GF(2) matrices fixing the all-ones
-    vector).
+    ``boolean`` streams all PartitionEndos, one per function X -> X (its
+    owners); ``xor`` streams all XorEndos, one per choice of every column
+    but the last (the last completes the XOR to X, so the map fixes X).
     """
     n = len(elements)
     if regime == "boolean":
-        for owner in product(range(n), repeat=n):
-            blocks = [0] * n
-            for y, x in enumerate(owner):
-                blocks[x] |= 1 << y
-            yield PartitionEndo(elements, tuple(blocks))
+        for owners in product(range(n), repeat=n):
+            yield PartitionEndo.from_owners(elements, owners)
     elif regime == "xor":
-        full = (1 << n) - 1
-        if n == 1:
-            yield XorEndo(elements, (1,))
-            return
-        for head in product(range(1 << n), repeat=n - 1):
-            last = full
-            for c in head:
-                last ^= c
-            yield XorEndo(elements, head + (last,))
+        for head in product(range(1 << n), repeat=max(n - 1, 0)):
+            yield XorEndo.from_head(elements, head)
     else:
         raise ValueError(f"unknown regime: {regime!r} (expected 'boolean' or 'xor')")
 
@@ -378,23 +375,20 @@ def parse_endo_line(line: str, elements: tuple[str, ...]) -> AnyEndo:
 
 def format_endo(endo: PartitionEndo | XorEndo) -> str:
     prefix = "lambda" if isinstance(endo, PartitionEndo) else "xor-lambda"
-    masks = endo.blocks if isinstance(endo, PartitionEndo) else endo.columns
     entries = []
-    for x, m in zip(endo.elements, masks):
+    for x, m in zip(endo.elements, endo.images):
         inside = ",".join(x for i, x in enumerate(endo.elements) if m >> i & 1)
         entries.append(f"{x}->{{{inside}}}")
     return f"{prefix}: " + " ".join(entries)
 
 
 def endo_to_json(endo: PartitionEndo | XorEndo) -> dict:
-    if isinstance(endo, PartitionEndo):
-        kind, masks, key = "partition", endo.blocks, "blocks"
-    else:
-        kind, masks, key = "xor", endo.columns, "columns"
+    kind, key = (("partition", "blocks") if isinstance(endo, PartitionEndo)
+                 else ("xor", "columns"))
     return {
         "kind": kind,
         key: {
             x: [y for i, y in enumerate(endo.elements) if m >> i & 1]
-            for x, m in zip(endo.elements, masks)
+            for x, m in zip(endo.elements, endo.images)
         },
     }

@@ -16,9 +16,12 @@ bitmasks and combine them by XOR. Over any other field a block has a subset
 table only when it is 0/1 with at most one 1 per row; its columns are then
 pairwise disjoint, and the table is their XOR span too.
 ``Field.canonical`` is the one reduction rule of each field: the ``Scalar``
-operators reduce through it too, by ``Field.reduce``. Operands are not
-checked per operation: ``Field.check_scalars`` checks field membership once,
-when an element or a map is constructed from scalars.
+operators reduce through it too, by ``Field.reduce``. Checks run in two
+places. Each binary ``Scalar`` operator checks that its operand is a
+``Scalar`` of the same field (``Scalar._coerce``). The hot kernels check
+nothing per operation on their plain values: ``Field.check_scalars``
+checks field membership once, when an element or a map is constructed
+from scalars.
 """
 
 from __future__ import annotations

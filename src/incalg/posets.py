@@ -33,9 +33,15 @@ class Poset:
         self._check_partial_order()
 
     def _check_partial_order(self):
-        """Raise :class:`PosetError` unless ``leq`` is an n x n reflexive,
-        antisymmetric and transitive relation."""
+        """Raise :class:`PosetError` unless the labels are distinct and
+        well formed, and ``leq`` is an n x n reflexive, antisymmetric and
+        transitive relation."""
         n, leq, elements = self.n, self.leq, self.elements
+        for i, x in enumerate(elements):
+            if not isinstance(x, str) or not _LABEL_RE.match(x):
+                raise PosetError(f"bad element label: {x!r}")
+            if self._index[x] != i:
+                raise PosetError(f"duplicate element label: {x!r}")
         if len(leq) != n or any(len(row) != n for row in leq):
             raise PosetError(f"order relation must be a {n}x{n} matrix")
         for i in range(n):
@@ -60,17 +66,10 @@ class Poset:
                        name: str | None = None) -> "Poset":
         """Build the poset generated by ``pairs`` (any generating relations).
 
-        Computes the reflexive-transitive closure and rejects duplicate or
-        malformed labels and cycles (antisymmetry violations).
+        Computes the reflexive-transitive closure; the constructor rejects
+        duplicate or malformed labels and cycles (antisymmetry violations).
         """
         elements = list(elements)
-        seen = set()
-        for x in elements:
-            if not _LABEL_RE.match(x):
-                raise PosetError(f"bad element label: {x!r}")
-            if x in seen:
-                raise PosetError(f"duplicate element label: {x!r}")
-            seen.add(x)
         index = {x: i for i, x in enumerate(elements)}
         n = len(elements)
         leq = [[i == j for j in range(n)] for i in range(n)]
@@ -289,7 +288,9 @@ def format_poset(poset: Poset) -> str:
 
 def resolve_poset(spec: str) -> Poset:
     """Resolve a builtin literal (``chain:2`` ...), a poset file path, or
-    ``dual(<reference>)``, tried in that order.
+    ``dual(<reference>)``, tried in that order. Nested ``dual(`` prefixes
+    are unwrapped in a loop, so any depth resolves; an error names the
+    innermost reference.
 
     The resolved poset keeps the reference string as its name, so files
     that mention it serialize back to the same reference: ``Poset.dual``
@@ -297,13 +298,17 @@ def resolve_poset(spec: str) -> Poset:
     """
     import os
 
+    # no builtin starts with "dual(", so only a file can precede the unwrap
+    ref, duals = spec, 0
+    while ref.startswith("dual(") and ref.endswith(")") and not os.path.exists(ref):
+        ref, duals = ref[len("dual("):-1], duals + 1
     try:
-        return builtin_poset(spec)
+        poset = builtin_poset(ref)
     except PosetError:
-        pass
-    if os.path.exists(spec):
-        with open(spec, encoding="utf-8") as fh:
-            return parse_poset(fh.read(), name=spec)
-    if spec.startswith("dual(") and spec.endswith(")"):
-        return resolve_poset(spec[len("dual("):-1]).dual()
-    raise PosetError(f"not a builtin poset and not a file: {spec!r}")
+        if not os.path.exists(ref):
+            raise PosetError(f"not a builtin poset and not a file: {ref!r}") from None
+        with open(ref, encoding="utf-8") as fh:
+            poset = parse_poset(fh.read(), name=ref)
+    for _ in range(duals):
+        poset = poset.dual()
+    return poset

@@ -242,7 +242,7 @@ def build_preserver(spec: PreserverSpec) -> LinearMap:
     poset, field = spec.poset, spec.field
     n, d = poset.n, poset.dimension
     z, o = field.zero.value, field.one.value
-    images = [spec.endo.apply_mask(1 << x) for x in range(n)]
+    images = spec.endo.images
     rows = tuple(tuple(o if x < n and images[x] >> y & 1 else z for x in range(d))
                  for y in range(n))
     return LinearMap._of_values(poset, field, rows + spec.radical_map.values[n:])
@@ -265,7 +265,7 @@ def _diagonal_element(poset: Poset, field: Field, diagonal) -> FIElement:
     return FIElement(poset, field, [Scalar(field, v) for v in diagonal] + zeros)
 
 
-def _first_full_pattern(poset: Poset, field: Field, images: list[int]) -> FIElement | None:
+def _first_full_pattern(poset: Poset, field: Field, images: Sequence[int]) -> FIElement | None:
     """The first 0/1 diagonal pattern but all ones, in product order, that
     the XOR of the singleton ``images`` sends to the full mask, or None.
     Product order reads a pattern's first coordinate as its top bit, so the
@@ -640,7 +640,10 @@ def parse_preserver_spec(text: str) -> PreserverSpec:
     if at >= len(lines):
         raise ParseError("missing lambda line")
     lineno, line = lines[at]
-    endo = parse_endo_line(line, poset.elements)
+    try:
+        endo = parse_endo_line(line, poset.elements)
+    except ParseError as exc:
+        raise ParseError(str(exc), lineno) from None
     if field.cardinality == 2 and isinstance(endo, PartitionEndo):
         raise ParseError("over Fp 2 use 'xor-lambda:'", lineno)
     if field.cardinality != 2 and isinstance(endo, XorEndo):

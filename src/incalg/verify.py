@@ -218,7 +218,7 @@ def enumerate_specs(poset: Poset, field: PrimeField) -> Iterator[PreserverSpec]:
     elems = range(field.p)
     zero_rows = ((0,) * d,) * n
     row_choices = [_psi_row(field, head, tail)
-                   for head in product(elems, repeat=n - 1)
+                   for head in product(elems, repeat=max(n - 1, 0))
                    for tail in product(elems, repeat=m)]
     for endo in enumerate_endos(poset.elements, regime):
         for rows in product(row_choices, repeat=m):
@@ -564,17 +564,10 @@ def random_preserver_spec(poset: Poset, field: Field,
         return Fraction(rng.randint(-9, 9), rng.randint(1, 9))
 
     if field.cardinality == 2:
-        full = (1 << n) - 1
-        cols = [rng.randrange(1 << n) for _ in range(n - 1)]
-        last = full
-        for c in cols:
-            last ^= c
-        endo: PartitionEndo | XorEndo = XorEndo(poset.elements, tuple(cols) + (last,))
+        endo: PartitionEndo | XorEndo = XorEndo.from_head(
+            poset.elements, [rng.randrange(1 << n) for _ in range(n - 1)])
     else:
-        blocks = [0] * n
-        for y in range(n):
-            blocks[rng.randrange(n)] |= 1 << y
-        endo = PartitionEndo(poset.elements, tuple(blocks))
+        endo = PartitionEndo.from_owners(poset.elements, [rng.randrange(n) for _ in range(n)])
     rows = ((field.zero.value,) * d,) * n
     for _ in range(m):
         head = [random_value() for _ in range(n - 1)]
@@ -866,8 +859,7 @@ def analyze_map(phi: LinearMap, gate_override: bool = False) -> dict:
             witnesses["preserver"] = about + str(exc)
         verdicts["preserver"] = spec is not None
     if spec is not None:
-        counter = _first_full_pattern(
-            poset, field, [spec.endo.apply_mask(1 << x) for x in range(poset.n)])
+        counter = _first_full_pattern(poset, field, spec.endo.images)
         verdicts["strong"] = counter is None
         if counter is not None:
             witnesses["strong"] = f"non-unit {format_element(counter)} maps to a unit"

@@ -80,18 +80,11 @@ def poset_field_elements(draw, count: int = 3, fields=None):
 
 def random_partition_endo(elements, rng: random.Random) -> PartitionEndo:
     n = len(elements)
-    blocks = [0] * n
-    for y in range(n):
-        blocks[rng.randrange(n)] |= 1 << y
-    return PartitionEndo(elements, tuple(blocks))
+    return PartitionEndo.from_owners(elements, [rng.randrange(n) for _ in range(n)])
 
 
 def random_xor_endo(elements, rng: random.Random) -> XorEndo:
     """A GF(2) matrix fixing X: random columns, the last one completing the
     XOR to the full set."""
     n = len(elements)
-    columns = [rng.randrange(1 << n) for _ in range(n - 1)]
-    last = (1 << n) - 1
-    for c in columns:
-        last ^= c
-    return XorEndo(elements, tuple(columns) + (last,))
+    return XorEndo.from_head(elements, [rng.randrange(1 << n) for _ in range(n - 1)])

@@ -9,8 +9,11 @@ from incalg import (
     PrimeField,
     build_preserver,
     builtin_poset,
+    count_from_theorem,
+    enumerate_specs,
     format_linear_map,
     random_preserver_spec,
+    resolve_poset,
 )
 from incalg.cli import main
 
@@ -148,6 +151,50 @@ def test_lemmas_randomized(capsys):
                     "--sample", "randomized", "--seed", "3", "--trials", "5")
     assert code == 0
     assert "random spec" in out
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_empty_poset_enumerates_and_samples_its_one_spec(tmp_path, capsys, p):
+    """A poset file with no elements has one normal form on every field:
+    ``enumerate_specs`` streams it, and the randomized lemma run passes as
+    the exhaustive one does."""
+    path = tmp_path / "empty.txt"
+    path.write_text("poset\nelements:\nrelations:\n")
+    poset, field = resolve_poset(str(path)), PrimeField(p)
+    assert len(list(enumerate_specs(poset, field))) == count_from_theorem(poset, field) == 1
+    for sample in ("randomized", "exhaustive"):
+        code, out = run(capsys, "lemmas", "--poset", str(path), "--field", "Fp", str(p),
+                        "--sample", sample)
+        assert code == 0, sample
+        assert "0 failed" in out
+
+
+def test_deeply_nested_dual_reference_exits_cleanly(capsys):
+    """2,000 ``dual(`` levels resolve without a traceback: exit 0 around a
+    builtin, exit 2 naming the innermost reference around an unknown one."""
+    wrap = "dual(" * 2000, ")" * 2000
+    code, out = run(capsys, "census", "--poset", "chain:2".join(wrap), "--field", "Fp", "3")
+    assert code == 0
+    assert "oracle_count:  36" in out
+    code = main(["census", "--poset", "w".join(wrap), "--field", "Fp", "3"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == "error: not a builtin poset and not a file: 'w'\n"
+
+
+@pytest.mark.parametrize("line, message", [
+    ("lambda: 1->{1,2} 2->{2}", "blocks are not pairwise disjoint"),
+    ("lambda: 1->{q} 2->{2}", "label 'q' not in ambient set ('1', '2')"),
+    ("psi:", "expected 'lambda:' or 'xor-lambda:' line, got 'psi:'"),
+])
+def test_bad_lambda_line_errors_name_their_line(tmp_path, capsys, line, message):
+    path = tmp_path / "spec.txt"
+    path.write_text(f"preserver-spec\nfield: Fp 3\nposet: chain:2\n{line}\npsi:\n0 0 0\n")
+    code = main(["build", "--spec", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: line 4: {message}\n"
 
 
 def test_lemmas_randomized_without_trials_exits_two(capsys):

@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 
 from incalg import (
     ClassificationError,
+    MismatchError,
     PartitionEndo,
     SubsetMapTable,
     XorEndo,
@@ -47,6 +48,24 @@ def test_partition_validation():
 def test_xor_validation():
     with pytest.raises(Exception, match="XOR"):
         XorEndo(XY, (0b01, 0b01))
+
+
+def test_xor_validation_refuses_columns_outside_the_ambient_set():
+    """Stray bits that cancel in the XOR are refused, as a partition's
+    cover check refuses them in a block."""
+    with pytest.raises(MismatchError, match="not a subset of the ambient set"):
+        XorEndo(XY, (0b100, 0b111))
+    with pytest.raises(MismatchError, match="cover"):
+        PartitionEndo(XY, (0b101, 0b010))
+
+
+def test_constructors_from_free_parameters():
+    assert PartitionEndo.from_owners(XYZ, (0, 0, 2)).blocks == (0b011, 0b000, 0b100)
+    assert XorEndo.from_head(XYZ, (0b001, 0b011)).columns == (0b001, 0b011, 0b101)
+    assert XorEndo.from_head((), ()).columns == ()
+    for endo in (COLLAPSE_2, NONSEP_XOR):
+        assert endo.images == (endo.blocks if isinstance(endo, PartitionEndo)
+                               else endo.columns)
 
 
 def test_identity_partition_apply():

@@ -8,6 +8,7 @@ from incalg import (
     builtin_poset,
     format_poset,
     parse_poset,
+    resolve_poset,
 )
 
 from conftest import POSET_POOL, mixed_poset
@@ -62,6 +63,20 @@ def test_bad_label_rejected():
         Poset.from_relations(["a,b"], [])
 
 
+def test_constructor_rejects_duplicate_and_malformed_labels():
+    """Direct construction and ``dual()`` check labels as ``from_relations``
+    does; a duplicate would collapse ``pair_index``, and a label with a space
+    would not read back from ``format_poset``."""
+    with pytest.raises(PosetError, match="duplicate element label: 'a'"):
+        Poset(["a", "a"], [[1, 0], [0, 1]])
+    for label in ("a b", "", "a<b", 1):
+        with pytest.raises(PosetError, match="bad element label"):
+            Poset([label, "c"], [[1, 0], [0, 1]])
+    v = builtin_poset("v")
+    with pytest.raises(PosetError, match="duplicate"):
+        Poset(("a", "a", "c"), v.leq).dual()
+
+
 def test_strict_pairs_of_v_poset():
     v = builtin_poset("v")
     assert v.strict_pairs == (("a", "c"), ("b", "c"))
@@ -82,6 +97,20 @@ def test_dual():
     assert anti.dual() == anti
     for p in POSET_POOL:
         assert p.dual().dual() == p
+
+
+def test_deeply_nested_dual_references_resolve():
+    """``dual(`` prefixes unwrap in a loop, so a depth past the recursion
+    limit resolves, keeps the reference as its name, and an error names the
+    innermost reference."""
+    depth = 2000
+    even = "dual(" * depth + "v" + ")" * depth
+    odd = f"dual({even})"
+    assert resolve_poset(even) == builtin_poset("v")
+    assert resolve_poset(odd) == builtin_poset("v").dual()
+    assert resolve_poset(odd).name == odd
+    with pytest.raises(PosetError, match="not a file: 'w'$"):
+        resolve_poset("dual(" * depth + "w" + ")" * depth)
 
 
 def test_longest_chain():
