@@ -449,11 +449,31 @@ def find_inverse_counterexample(phi: LinearMap,
     Requires, unchecked, an invertibility preserver, unital or not. Then
     phi(u) is a unit, and in I(X,K) a one-sided inverse of a unit is its
     inverse, so phi(u^-1) = phi(u)^-1 exactly when phi(u) phi(u^-1) = delta:
-    one product per unit, and no inverse.
+    one product per unit, and no inverse. The scan runs on values: each
+    image sums the matrix columns of the unit's nonzero coordinates and is
+    left unreduced, the two images are convolved over ``convolution_plan``,
+    and each coordinate of the product is reduced once and compared with
+    delta's. ``units`` is read once, so a generator will do.
     """
-    delta = FIElement.delta(phi.poset, phi.field)
+    poset, field = phi.poset, phi.field
+    n, d = poset.n, poset.dimension
+    canonical = field.canonical
+    plan = poset.convolution_plan
+    columns = [[(i, c) for i, c in enumerate(column) if c] for column in zip(*phi.values)]
+    delta = [1] * n + [0] * (d - n)
+
+    def image(a: FIElement) -> list:
+        out = [0] * d
+        for j, c in enumerate(a.coeffs):
+            if v := c.value:
+                for i, m in columns[j]:
+                    out[i] += m * v
+        return out
+
     for u, u_inv in units:
-        if phi.apply(u) * phi.apply(u_inv) != delta:
+        a, b = image(u), image(u_inv)
+        if [canonical(sum([a[i] * b[j] for i, j in terms if a[i] and b[j]]))
+                for terms in plan] != delta:
             return u
     return None
 

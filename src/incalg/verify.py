@@ -19,7 +19,9 @@ but neither classifies nor records them. The laws read only the
 diagonal-output rows, so they are derived once per run of instances that
 share those rows: the subset table is extracted once and passed to the laws
 that read it, ``vf-maps-J-to-J`` reads the radical columns of the matrix, and
-the element-level laws run on coefficient tuples of canonical values.
+the element-level laws run on coefficient tuples of canonical values. Those
+laws are read off the radical columns and, where those are zero, once per
+distinct diagonal head of the sample, which a suite call lists once.
 """
 
 from __future__ import annotations
@@ -386,13 +388,40 @@ def _sample_values(poset: Poset, field: PrimeField, cap: int = 4096,
     return [tuple(rng.randrange(p) for _ in range(d)) for _ in range(trials)]
 
 
-def _lemma_checks(phi: LinearMap, table: SubsetMapTable,
-                  sample: list[tuple]) -> dict[str, str | None]:
+def _diagonal_heads(sample: list[tuple], n: int) -> dict[tuple, tuple]:
+    """The sample's distinct diagonal heads ``vals[:n]``, in order of first
+    appearance, each mapped to the first sample that has it and its level
+    masks: pairs (k, mask of the i with head[i] = k). Neither depends on a
+    map, so a suite call lists them once for all its instances."""
+    heads: dict[tuple, tuple] = {}
+    for vals in sample:
+        head = vals[:n]
+        if head not in heads:
+            levels: dict = {}
+            for i, k in enumerate(head):
+                levels[k] = levels.get(k, 0) | 1 << i
+            heads[head] = (vals, tuple(levels.items()))
+    return heads
+
+
+def _lemma_checks(phi: LinearMap, table: SubsetMapTable, sample: list[tuple],
+                  heads: dict[tuple, tuple] | None = None) -> dict[str, str | None]:
     """Each applicable law checked literally; values are failure witnesses.
 
     ``table`` is the subset table already extracted from ``phi`` and
-    ``sample`` holds coefficient tuples of canonical values; an element is
-    built only to format a witness.
+    ``sample`` holds coefficient tuples of canonical values; ``heads`` is
+    ``_diagonal_heads(sample, n)``, listed here when not given. An element
+    is built only to format a witness.
+
+    The two element laws are read off the diagonal-output rows. Write
+    phi(a)_D = S_D(a) + S_R(a), the sums over the diagonal and the radical
+    columns of those rows. Then phi(a_D)_D = S_D(a), so
+    ``vf(f)_D-is-vf(f_D)_D`` fails exactly where S_R(a) != 0, and holds on
+    every sample when the radical columns are zero (``vf-maps-J-to-J``).
+    Both sides of ``vf(f)_D=sum-k-e_lb(L_k)`` then depend on the head
+    a[:n] alone, so that law is tested once per distinct head; the first
+    sample with the first failing head is the first failing sample. When a
+    radical column is nonzero it is tested sample by sample.
     """
     poset, field = phi.poset, phi.field
     n = poset.n
@@ -411,23 +440,18 @@ def _lemma_checks(phi: LinearMap, table: SubsetMapTable,
             break
     out["vf-maps-J-to-J"] = witness
 
-    # the image diagonal only depends on the input diagonal; phi(a)_D is read
-    # off the diagonal-output rows over all d columns, never the block alone,
-    # each row through its nonzero entries
+    # the image diagonal only depends on the input diagonal: phi(a)_D -
+    # phi(a_D)_D sums the radical columns of the diagonal-output rows, each
+    # row through its nonzero entries
     canonical = field.canonical
     row_supports = [[(j, c) for j, c in enumerate(row) if c] for row in rows]
-
-    def image_diagonal(vals) -> list:
-        return [canonical(sum([c * vals[j] for j, c in support]))
-                for support in row_supports]
-
-    image_diagonals = [image_diagonal(vals) for vals in sample]
-    padding = (0,) * (poset.dimension - n)
+    radical_supports = [[(j, c) for j, c in support if j >= n] for support in row_supports]
+    radical = any(radical_supports)
     witness = None
-    for vals, image in zip(sample, image_diagonals):
-        if image != image_diagonal(vals[:n] + padding):  # a_D
-            witness = alpha(vals)
-            break
+    if radical:
+        witness = next((alpha(vals) for vals in sample
+                        if any(canonical(sum([c * vals[j] for j, c in support]))
+                               for support in radical_supports)), None)
     out["vf(f)_D-is-vf(f_D)_D"] = witness
 
     # diagonal images of subset idempotents are subset idempotents: ``table``
@@ -459,20 +483,28 @@ def _lemma_checks(phi: LinearMap, table: SubsetMapTable,
 
     if field.cardinality != 2:
         # the image diagonal is the level-set decomposition pushed through
-        witness = None
-        for vals, image in zip(sample, image_diagonals):
-            level_masks: dict = {}
-            for i in range(n):
-                level_masks[vals[i]] = level_masks.get(vals[i], 0) | 1 << i
+        if heads is None:
+            heads = _diagonal_heads(sample, n)
+
+        def image_diagonal(vals) -> list:
+            return [canonical(sum([c * vals[j] for j, c in support]))
+                    for support in row_supports]
+
+        def level_sum(levels) -> list:
             expected = [0] * n
-            for k, level_mask in level_masks.items():
+            for k, level_mask in levels:
                 image_mask = table.table[level_mask]
                 for y in range(n):
                     if image_mask >> y & 1:
                         expected[y] += k
-            if image != [canonical(v) for v in expected]:
-                witness = alpha(vals)
-                break
+            return [canonical(v) for v in expected]
+
+        if radical:
+            witness = next((alpha(vals) for vals in sample
+                            if image_diagonal(vals) != level_sum(heads[vals[:n]][1])), None)
+        else:
+            witness = next((alpha(vals) for head, (vals, levels) in heads.items()
+                            if image_diagonal(head) != level_sum(levels)), None)
         out["vf(f)_D=sum-k-e_lb(L_k)"] = witness
     else:
         # additivity over symmetric difference, fixing X: adding one element
@@ -521,6 +553,7 @@ def verify_lemma_suite(poset: Poset, field: PrimeField,
     _gate(_partition_count(n, min(field.p, n)), "the partition law union-lb(L_k(f))=X",
           gate_override)
     values = _sample_values(poset, field, seed=seed)
+    heads = _diagonal_heads(values, n)
     where = f"on {poset.display_name} over {format_field(field)}"
     if sample == "exhaustive":
         space = _census_gate(poset, field, gate_override)
@@ -545,7 +578,7 @@ def verify_lemma_suite(poset: Poset, field: PrimeField,
     for instance, phi in instances:
         if phi.values[:n] != head:
             head = phi.values[:n]
-            checks = _lemma_checks(phi, extract_subset_map(phi), values)
+            checks = _lemma_checks(phi, extract_subset_map(phi), values, heads)
         for lemma, witness in checks.items():
             verdicts.append(LemmaVerdict(lemma, instance, witness is None, witness))
     return verdicts
@@ -626,6 +659,29 @@ def verify_criteria(spec: PreserverSpec,
 
 # inverse preservers -------------------------------------------------------------
 
+def _idempotent_laws(phi: LinearMap, idempotents: list[FIElement],
+                     delta: FIElement) -> list[tuple[str, str | None]]:
+    """The idempotent laws of a unital inverse preserver, each with its
+    witness, or None where it holds: the first idempotent whose image is
+    not idempotent, phi(delta)^2 when it is not delta, and the first
+    idempotent e with phi(e) phi(1) = phi(1) phi(e) = phi(e)^2 failing."""
+    images = [phi.apply(e) for e in idempotents]
+    not_idempotent = next(
+        (e for e, fe in zip(idempotents, images) if not fe.is_idempotent()), None)
+    image_delta = phi.apply(delta)
+    square = image_delta * image_delta
+    not_absorbed = next((e for e, fe in zip(idempotents, images)
+                         if not (fe * image_delta == image_delta * fe == fe * fe)), None)
+    return [
+        ("vf-pres-inverses=>vf(1)vf-pres-idemp",
+         None if not_idempotent is None else f"e = {format_element(not_idempotent)}"),
+        ("vf(1_A)^2=1_B",
+         None if square == delta else f"phi(delta)^2 = {format_element(square)}"),
+        ("vf(e)vf(1)=vf(1)vf(e)=vf(e)^2",
+         None if not_absorbed is None else f"e = {format_element(not_absorbed)}"),
+    ]
+
+
 def verify_inverse_preserver_results(poset: Poset, field: PrimeField,
                                      gate_override: bool = False) -> list[LemmaVerdict]:
     """Check the inverse-preserver results over a char != 2 prime field.
@@ -665,20 +721,8 @@ def verify_inverse_preserver_results(poset: Poset, field: PrimeField,
         if not ip:
             continue
         inverse_preserver_count += 1
-        images = [phi.apply(e) for e in idempotents]
-        verdicts.append(LemmaVerdict(
-            "vf-pres-inverses=>vf(1)vf-pres-idemp", instance,
-            all(fe.is_idempotent() for fe in images)))
-        image_delta = phi.apply(delta)
-        verdicts.append(LemmaVerdict(
-            "vf(1_A)^2=1_B", instance, image_delta * image_delta == delta))
-        witness = None
-        for e, fe in zip(idempotents, images):
-            if not (fe * image_delta == image_delta * fe == fe * fe):
-                witness = f"e = {format_element(e)}"
-                break
-        verdicts.append(LemmaVerdict(
-            "vf(e)vf(1)=vf(1)vf(e)=vf(e)^2", instance, witness is None, witness))
+        verdicts.extend(LemmaVerdict(lemma, instance, witness is None, witness)
+                        for lemma, witness in _idempotent_laws(phi, idempotents, delta))
     if inverse_preserver_count == 0:
         verdicts.append(LemmaVerdict(
             "vf-pres-inverses=>vf-Jordan-homo",

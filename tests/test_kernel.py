@@ -393,27 +393,54 @@ def test_inverse_matches_boxed_reference(instance):
             boxed_inverse(singular)
 
 
+def repeated_heads(sample, n):
+    """A sample whose diagonal heads repeat: the first six heads, each with
+    the tails of the first three samples, then the first six samples again,
+    so some tuples repeat whole."""
+    return ([vals[:n] + other[n:] for vals in sample[:6] for other in sample[:3]]
+            + sample[:6])
+
+
+def radical_columns_zero(phi) -> bool:
+    """The diagonal-output rows are zero on every radical column."""
+    n = phi.poset.n
+    return not any(any(row[n:]) for row in phi.values[:n])
+
+
 @given(instances([F2, F3, F5]))
 def test_lemma_checks_match_boxed_reference(instance):
+    """On the seeded sample and on one whose diagonal heads repeat, so that
+    the per-head reading of the level-set law meets heads shared by several
+    samples."""
     poset, field, _, rng = instance
     table, sample, maps = lemma_instance(poset, field, rng)
     for phi in maps:
-        assert (list(_lemma_checks(phi, table, sample).items())
-                == list(boxed_lemma_checks(phi, table, sample).items()))
+        for values in (sample, repeated_heads(sample, poset.n)):
+            assert (list(_lemma_checks(phi, table, values).items())
+                    == list(boxed_lemma_checks(phi, table, values).items()))
 
 
 def test_lemma_instances_fail_both_element_laws():
-    """The perturbed maps reach a failing witness of each element law."""
+    """The perturbed maps reach a failing witness of the level-set law both
+    on maps whose diagonal-output rows are zero on the radical columns (read
+    once per diagonal head) and on maps where they are not (read sample by
+    sample), and a failing witness of ``vf(f)_D-is-vf(f_D)_D``, which can
+    fail only where they are not. Every witness is the boxed loops' one."""
     rng = random.Random(0)
     failed = set()
     for field in (F3, F5):
         for poset in POSET_POOL[:5]:
             table, sample, maps = lemma_instance(poset, field, rng)
             for phi in maps:
-                out = _lemma_checks(phi, table, sample)
-                failed.update(law for law in ("vf(f)_D-is-vf(f_D)_D", "vf(f)_D=sum-k-e_lb(L_k)")
-                              if out[law] is not None)
-    assert failed == {"vf(f)_D-is-vf(f_D)_D", "vf(f)_D=sum-k-e_lb(L_k)"}
+                for values in (sample, repeated_heads(sample, poset.n)):
+                    out = _lemma_checks(phi, table, values)
+                    assert out == boxed_lemma_checks(phi, table, values)
+                    failed.update((law, radical_columns_zero(phi)) for law in (
+                        "vf(f)_D-is-vf(f_D)_D", "vf(f)_D=sum-k-e_lb(L_k)")
+                        if out[law] is not None)
+    assert failed == {("vf(f)_D-is-vf(f_D)_D", False),
+                      ("vf(f)_D=sum-k-e_lb(L_k)", True),
+                      ("vf(f)_D=sum-k-e_lb(L_k)", False)}
 
 
 def test_lemma_instances_fail_j_to_j():
@@ -695,10 +722,13 @@ def inverse_scan_cases(poset, field, kind: str, jordan_kind: str, rng: random.Ra
 def test_inverse_scan_matches_boxed_reference(instance):
     """The product test phi(u) phi(u^-1) = delta over the listed units finds
     the same first unit as the per-unit comparison of phi(u^-1) with
-    phi(u)^-1, or None."""
+    phi(u)^-1, or None, whether the units come as a one-pass generator, as
+    ``analyze_map`` passes them, or as a list, as the inverse suite does."""
     poset, field, kind, jordan_kind, rng = instance
+    units = list(iter_units(poset, field))
     for phi in inverse_scan_cases(poset, field, kind, jordan_kind, rng):
         assert (find_inverse_counterexample(phi, iter_units(poset, field))
+                == find_inverse_counterexample(phi, units)
                 == boxed_find_inverse_counterexample(phi))
 
 

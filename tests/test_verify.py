@@ -1,4 +1,6 @@
+import hashlib
 import importlib.util
+import json
 import random
 import sys
 from fractions import Fraction
@@ -39,8 +41,9 @@ from incalg import (
     verify_lemma_suite,
 )
 
-from incalg.algebra import basis_element
-from incalg.verify import CENSUS_SPACE_CAP
+from incalg.algebra import basis_element, format_element
+from incalg.preservers import iter_idempotents
+from incalg.verify import CENSUS_SPACE_CAP, _idempotent_laws
 
 from conftest import F2, F3, F5, POSET_POOL, PRIME_FIELDS, Q
 
@@ -394,6 +397,23 @@ def test_lemma_suite_randomized_on_wider_posets():
         assert verdicts and all(v.passed for v in verdicts)
 
 
+def test_suite_verdicts_are_pinned():
+    """The verdicts of five suite calls, witnesses included, hashed as JSON,
+    so that no change in how the element laws or the unit scan are computed
+    moves a verdict."""
+    diamond = builtin_poset("diamond")
+    calls = [verify_inverse_preserver_results(CHAIN2, F3),
+             verify_lemma_suite(CHAIN2, F3),
+             verify_lemma_suite(diamond, F3, sample="randomized", seed=7, trials=20),
+             verify_lemma_suite(diamond, F3, sample="randomized", seed=9973, trials=20),
+             verify_lemma_suite(builtin_poset("chain:3"), F5, sample="randomized",
+                                seed=1, trials=10)]
+    assert [len(call) for call in calls] == [144, 252, 140, 140, 70]
+    text = json.dumps([[v.to_json() for v in call] for call in calls])
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "391cd1d026ed16b6962c4dead585afe68185eb356c7384f42878cf0ded94cc24")
+
+
 def test_lemma_suite_exhaustive_reads_each_survivor_once(monkeypatch):
     """The exhaustive suite walks the census survivors without classifying,
     recording, ranking or applying them, and extracts one subset table per
@@ -516,6 +536,26 @@ def test_inverse_suite_inverts_each_unit_once(monkeypatch):
     verdicts = verify_inverse_preserver_results(CHAIN2, F3)
     assert len(verdicts) == 144 and all(v.passed for v in verdicts)
     assert len(calls) == 12 and len(set(calls)) == 12
+
+
+def test_idempotent_laws_name_their_witnesses():
+    """2 identity over Fp 5 preserves no inverses, since it sends delta to
+    2 delta, whose square is 4 delta. It sends each idempotent e to 2e,
+    which is idempotent only for e = 0, so the idempotent law names the
+    first nonzero idempotent; 2e commutes with 2 delta and 2e 2 delta =
+    (2e)^2 = 4e, so the third law holds. The identity passes all three."""
+    f5 = PrimeField(5)
+    delta = FIElement.delta(CHAIN2, f5)
+    idempotents = list(iter_idempotents(CHAIN2, f5))
+    first = next(e for e in idempotents if not e.is_zero())
+    assert dict(_idempotent_laws(LinearMap.identity(CHAIN2, f5).scale(2),
+                                 idempotents, delta)) == {
+        "vf-pres-inverses=>vf(1)vf-pres-idemp": f"e = {format_element(first)}",
+        "vf(1_A)^2=1_B": "phi(delta)^2 = 4*e[1] + 4*e[2]",
+        "vf(e)vf(1)=vf(1)vf(e)=vf(e)^2": None}
+    assert _idempotent_laws(LinearMap.identity(CHAIN2, f5), idempotents, delta) == [
+        ("vf-pres-inverses=>vf(1)vf-pres-idemp", None), ("vf(1_A)^2=1_B", None),
+        ("vf(e)vf(1)=vf(1)vf(e)=vf(e)^2", None)]
 
 
 def test_inverse_preserver_results_char2_routes_to_counterexample():
@@ -645,6 +685,24 @@ def test_analyze_map_non_unital_inverse_preserver():
     assert report["verdicts"]["strong"] is True
     assert report["verdicts"]["inverse_preserving"] is True
     assert report["verdicts"]["jordan"] is False
+
+
+def test_analyze_map_unit_scan_verdicts():
+    """The unit scan decides inverse preservation for a preserver over Fp 2
+    and for a non-unital preserver with u^2 = delta: the chain:6 identity
+    over Fp 2 (2^15 units) and -identity on diamond over Fp 3 preserve
+    inverses, and so does -phi exactly when phi does, which a random
+    non-Jordan preserver over Fp 3 does not."""
+    phi = build_preserver(random_preserver_spec(builtin_poset("chain:3"), F3,
+                                                random.Random(0)))
+    for psi, expected in ((LinearMap.identity(builtin_poset("chain:6"), F2), True),
+                          (LinearMap.identity(builtin_poset("diamond"), F3).scale(2), True),
+                          (phi.scale(2), False)):
+        report = analyze_map(psi)
+        assert report["verdicts"]["preserver"] is True
+        assert report["verdicts"]["inverse_preserving"] is expected
+        assert "inverse_preserving" not in report["witnesses"]
+    assert analyze_map(phi)["verdicts"]["jordan"] is False
 
 
 def test_analyze_map_over_q_gives_classification_advice_only_where_it_decides():
