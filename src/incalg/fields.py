@@ -26,12 +26,20 @@ from scalars.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from functools import cached_property
 
 from .errors import FieldMismatchError, InfiniteFieldError, ParseError, ScalarError
 
 MAX_PRIME = 2**31 - 1
+
+# Scalar literals in ASCII digits only: ``int`` and ``Fraction`` would also
+# take ``_`` separators, other scripts' digits and surrounding whitespace.
+# A rational is num/den with a nonzero den, or an exact decimal.
+_INTEGER = re.compile(r"[+-]?[0-9]+")
+_RATIONAL = re.compile(
+    r"[+-]?(?:[0-9]+/0*[1-9][0-9]*|(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?)")
 
 
 def _is_prime(p: int) -> bool:
@@ -143,10 +151,10 @@ class PrimeField(Field):
         return [Scalar(self, v) for v in range(self.p)]
 
     def parse_scalar(self, text: str) -> "Scalar":
-        try:
-            return self.scalar(int(text))
-        except ValueError:
-            raise ParseError(f"bad {self} scalar literal: {text!r}") from None
+        """A decimal integer, reduced mod p."""
+        if not _INTEGER.fullmatch(text):
+            raise ParseError(f"bad {self} scalar literal: {text!r}")
+        return self.scalar(int(text))
 
     def format_value(self, value: int) -> str:
         return str(value)
@@ -184,9 +192,11 @@ class Rationals(Field):
         raise InfiniteFieldError("cannot enumerate an infinite field")
 
     def parse_scalar(self, text: str) -> "Scalar":
+        """``num/den``, an integer, or an exact decimal such as ``0.5`` or
+        ``1e-3``."""
         try:
-            return Scalar(self, Fraction(text))
-        except (ValueError, ZeroDivisionError):
+            return self.scalar(text)
+        except ScalarError:
             raise ParseError(f"bad rational scalar literal: {text!r}") from None
 
     def format_value(self, value: Fraction) -> str:
@@ -208,10 +218,9 @@ def _exact(value, field: Field) -> int | Fraction:
     if isinstance(value, (int, Fraction)):
         return value
     if isinstance(value, str):
-        try:
-            return Fraction(value)
-        except (ValueError, ZeroDivisionError):
-            raise ScalarError(f"bad {field} scalar: {value!r}") from None
+        if not _RATIONAL.fullmatch(value):
+            raise ScalarError(f"bad {field} scalar: {value!r}")
+        return Fraction(value)
     raise ScalarError(f"{type(value).__name__} {value!r} is not an exact scalar of {field}")
 
 
@@ -221,12 +230,10 @@ def parse_field(text: str) -> Field:
     if tokens == ["Q"]:
         return Rationals()
     if len(tokens) == 2 and tokens[0] == "Fp":
+        if not _INTEGER.fullmatch(tokens[1]):
+            raise ParseError(f"bad field literal: {text!r}")
         try:
-            p = int(tokens[1])
-        except ValueError:
-            raise ParseError(f"bad field literal: {text!r}") from None
-        try:
-            return PrimeField(p)
+            return PrimeField(int(tokens[1]))
         except ValueError as exc:
             raise ParseError(str(exc)) from None
     raise ParseError(f"bad field literal: {text!r} (expected 'Fp <prime>' or 'Q')")

@@ -223,7 +223,7 @@ def builtin_poset(spec: str) -> Poset:
             [("a", "b"), ("a", "c"), ("b", "d"), ("c", "d")],
             name="diamond",
         )
-    m = re.match(r"^(chain|antichain):(\d+)$", spec)
+    m = re.fullmatch(r"(chain|antichain):([0-9]+)", spec)
     if m:
         kind, n = m.group(1), int(m.group(2))
         if n < 1:

@@ -495,15 +495,26 @@ def find_jordan_counterexample(phi: LinearMap) -> tuple[FIElement, FIElement] | 
     Both sides are symmetric in (a, b), so the first failing pair has a at
     or before b, and only those pairs are scanned. The left side needs no
     product: for a = e_xy and b = e_zw, ab + ba = [y = z] e_xw + [w = x] e_zy,
-    so phi(ab + ba) is the sum of at most two columns of the matrix. The
-    right side is the Jordan product of the images, each boxed from its
-    column on first use.
+    so phi(ab + ba) is one column of the matrix, or twice column a when
+    a = b is diagonal (the only case where both brackets hold). The right
+    side is zero unless the images compose: phi(a)phi(b) needs an element
+    that ends a support pair of phi(a) and starts one of phi(b), and the
+    column supports give these start and end elements as masks. Only pairs
+    whose images compose in some order are multiplied, as the Jordan
+    product of the images, each boxed from its column on first use.
     """
     poset, field = phi.poset, phi.field
     pairs, index = poset.basis_pairs, poset.pair_index
     canonical = field.canonical
     columns = list(zip(*phi.values))
     zero = (0,) * len(pairs)
+    bit = {x: 1 << k for k, x in enumerate(poset.elements)}
+    starts, ends = [0] * len(pairs), [0] * len(pairs)
+    for k, column in enumerate(columns):
+        for (s, t), v in zip(pairs, column):
+            if v:
+                starts[k] |= bit[s]
+                ends[k] |= bit[t]
     images: dict[int, FIElement] = {}
 
     def image(k: int) -> FIElement:
@@ -514,11 +525,19 @@ def find_jordan_counterexample(phi: LinearMap) -> tuple[FIElement, FIElement] | 
     for i, (x, y) in enumerate(pairs):
         for j in range(i, len(pairs)):
             z, w = pairs[j]
-            lhs = columns[index[(x, w)]] if y == z else zero
-            if w == x:
-                lhs = tuple(canonical(u + v) for u, v in zip(lhs, columns[index[(z, y)]]))
-            rhs = jordan_product(image(i), image(j))
-            if lhs != tuple(c.value for c in rhs.coeffs):
+            if y == z and w == x:
+                lhs = tuple(canonical(2 * v) for v in columns[i])
+            elif y == z:
+                lhs = columns[index[(x, w)]]
+            elif w == x:
+                lhs = columns[index[(z, y)]]
+            else:
+                lhs = zero
+            if ends[i] & starts[j] or ends[j] & starts[i]:
+                rhs = tuple(c.value for c in jordan_product(image(i), image(j)).coeffs)
+            else:
+                rhs = zero
+            if lhs != rhs:
                 return (basis_element(poset, field, x, y),
                         basis_element(poset, field, z, w))
     return None
@@ -570,7 +589,10 @@ def _parse_header(lines: list[tuple[int, str]], kind: str,
         if line.startswith("field:"):
             if field is not None:
                 raise ParseError("duplicate 'field:' line", lineno)
-            field = parse_field(line[len("field:"):].strip())
+            try:
+                field = parse_field(line[len("field:"):].strip())
+            except ParseError as exc:
+                raise ParseError(str(exc), lineno) from None
         elif line.startswith("poset:"):
             if poset is not None:
                 raise ParseError("duplicate 'poset:' line", lineno)

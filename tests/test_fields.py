@@ -12,6 +12,7 @@ from incalg import (
     ScalarError,
     format_field,
     parse_field,
+    parse_linear_map,
 )
 
 from conftest import F2, F3, F5, PRIME_FIELDS, Q, scalars
@@ -122,6 +123,45 @@ def test_scalar_serialization_round_trip():
     assert Q.parse_scalar("-3/2") == s
     assert Q.format_scalar(Q.scalar(2)) == "2/1"
     assert Q.parse_scalar("2") == Q.scalar(2)
+
+
+@pytest.mark.parametrize("field,text", [
+    (F3, "1_0"), (F3, "\u0663"), (F3, " 1"), (F3, "1/2"),
+    (Q, "1_0"), (Q, "1/1_0"), (Q, "\u0663/2"), (Q, "1/\u0662"), (Q, "0.\u0665"),
+    (Q, "1e1_0"), (Q, " 1"), (Q, "1/0"), (Q, "inf")])
+def test_scalar_literals_are_ascii_decimal(field, text):
+    """``int`` and ``Fraction`` also read ``_`` separators, other scripts'
+    digits and padding; the literal grammar does not."""
+    with pytest.raises(ParseError, match="bad .* scalar literal"):
+        field.parse_scalar(text)
+    with pytest.raises(ScalarError):
+        field.scalar(text)
+
+
+def test_rational_literals_take_exact_decimals():
+    assert Q.parse_scalar("0.5") == Q.scalar(Fraction(1, 2))
+    assert Q.parse_scalar("1e-3") == Q.scalar(Fraction(1, 1000))
+    assert Q.parse_scalar("-.25E2") == Q.scalar(-25)
+    assert F5.parse_scalar("-1") == F5.scalar(4)
+    assert parse_field("Fp 11") == PrimeField(11)
+
+
+@pytest.mark.parametrize("text", ["Fp 1_1", "Fp \u0661\u0661", "Fp 11.0"])
+def test_field_literal_modulus_is_ascii_decimal(text):
+    with pytest.raises(ParseError, match="bad field literal"):
+        parse_field(text)
+
+
+@pytest.mark.parametrize("header,row,message", [
+    ("Fp 1_1", "1 0 0", "line 2: bad field literal: 'Fp 1_1'"),
+    ("Fp 11", "1_0 0 0", "line 4: bad Fp 11 scalar literal: '1_0'"),
+    ("Fp 11", "\u0663 0 0", "line 4: bad Fp 11 scalar literal: '\u0663'"),
+])
+def test_map_file_literals_name_their_line(header, row, message):
+    text = f"map\nfield: {header}\nposet: chain:2\n{row}\n0 1 0\n0 0 1\n"
+    with pytest.raises(ParseError) as exc:
+        parse_linear_map(text)
+    assert str(exc.value) == message
 
 
 @given(data=st.data(), field=st.sampled_from(PRIME_FIELDS + [Q]))

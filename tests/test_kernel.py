@@ -10,7 +10,6 @@ scans."""
 
 import functools
 import random
-from itertools import permutations
 from fractions import Fraction
 from operator import or_
 
@@ -35,7 +34,7 @@ from incalg import (
     random_preserver_spec,
     to_xor_endo,
 )
-from incalg.algebra import basis_element, format_element
+from incalg.algebra import basis_element, format_element, jordan_product
 from incalg.preservers import (
     _column_masks,
     _rank_of_values,
@@ -538,16 +537,31 @@ def test_scale_matches_boxed_reference(field, seed):
 @functools.cache
 def poset_symmetries(poset) -> list[tuple[dict, bool]]:
     """(relabelling, reverses the order) for every automorphism and every
-    anti-automorphism of the poset."""
-    elements = poset.elements
+    anti-automorphism of the poset, in ``itertools.permutations`` order. A
+    partial relabelling is extended only while it keeps the order, or its
+    reverse, on the elements placed so far, so a chain costs 2^n steps,
+    not n!."""
+    elements, leq = poset.elements, poset.less_equal
     out = []
-    for image in permutations(elements):
-        s = dict(zip(elements, image))
-        for reverse in (False, True):
-            if all(poset.less_equal(x, y)
-                   == poset.less_equal(*((s[y], s[x]) if reverse else (s[x], s[y])))
-                   for x in elements for y in elements):
-                out.append((s, reverse))
+
+    def keeps(image, reverse):
+        x, t = elements[len(image) - 1], image[-1]
+        return all((leq(x, y), leq(y, x)) == ((leq(u, t), leq(t, u)) if reverse
+                                              else (leq(t, u), leq(u, t)))
+                   for y, u in zip(elements, image))
+
+    def extend(image, flags):
+        if len(image) == len(elements):
+            s = dict(zip(elements, image))
+            out.extend((s, reverse) for reverse in flags)
+            return
+        for t in elements:
+            if t not in image:
+                kept = [reverse for reverse in flags if keeps(image + [t], reverse)]
+                if kept:
+                    extend(image + [t], kept)
+
+    extend([], [False, True])
     return out
 
 
@@ -595,9 +609,22 @@ def test_jordan_scan_matches_boxed_reference(instance, kind):
         assert find_jordan_counterexample(phi) == boxed_find_jordan_counterexample(phi)
 
 
+def images_compose(phi: LinearMap, a: FIElement, b: FIElement) -> bool:
+    """Whether a support pair (x, y) of phi(a) meets a support pair (y, z)
+    of phi(b), or the other way round; if not, both products are zero."""
+    def support(c):
+        return [pair for pair, v in zip(phi.poset.basis_pairs, phi.apply(c).coeffs) if v]
+
+    sa, sb = support(a), support(b)
+    return (any(y == s for _, y in sa for s, _ in sb)
+            or any(y == s for _, y in sb for s, _ in sa))
+
+
 def test_jordan_cases_reach_every_outcome():
     """Jordan automorphisms pass; changed ones, perturbed preservers and
-    non-unital maps fail, some at a pair of distinct basis elements."""
+    non-unital maps fail, some at a pair of distinct basis elements, and,
+    on a prime field and on Q, some at a pair whose images do not compose
+    (the right side is zero unmultiplied) and some at a multiplied pair."""
     rng = random.Random(0)
     seen = set()
     for field in RING_FIELDS:
@@ -606,12 +633,31 @@ def test_jordan_cases_reach_every_outcome():
                 for phi in jordan_cases(poset, field, kind, rng):
                     pair = find_jordan_counterexample(phi)
                     seen.add((kind, pair is None))
-                    if pair is not None and pair[0] != pair[1]:
-                        seen.add("distinct pair")
+                    if pair is not None:
+                        seen.add((field == Q, images_compose(phi, *pair)))
+                        if pair[0] != pair[1]:
+                            seen.add("distinct pair")
     assert {("jordan", True), ("jordan-changed", False), ("preserver", True),
             ("preserver", False), ("perturbed", False), ("non-unital", False),
             "distinct pair"} <= seen
+    assert {(False, False), (False, True), (True, False), (True, True)} <= seen
     assert ("jordan", False) not in seen
+
+
+def test_jordan_scan_at_the_algebra_cap():
+    """On chain:12 over Q (d = 78), where the boxed reference is too slow, a
+    Jordan automorphism passes the scan and ``check``, and the same map
+    with one entry changed is refuted at a real counterexample pair."""
+    poset, rng = builtin_poset("chain:12"), random.Random(0)
+    phi = jordan_map(poset, Q, rng)
+    assert find_jordan_counterexample(phi) is None
+    verdicts = analyze_map(phi)["verdicts"]
+    assert verdicts["jordan"] is True and verdicts["inverse_preserving"] is True
+    d = poset.dimension
+    changed = changed_entry(phi, rng.randrange(d), rng.randrange(d), rng)
+    a, b = find_jordan_counterexample(changed)
+    assert (changed.apply(jordan_product(a, b))
+            != jordan_product(changed.apply(a), changed.apply(b)))
 
 
 UNIT_CAP = 1000  # units for the inverse scan, to keep the property fast

@@ -167,6 +167,13 @@ def test_builtins():
         builtin_poset("chain:0")
 
 
+@pytest.mark.parametrize("spec", ["chain:\u0663", "antichain:\u0662", "chain:1_0", "chain:3\n"])
+def test_builtin_sizes_are_ascii_decimal(spec):
+    """``\\d`` and ``int`` would build chain:3 under the name 'chain:\u0663'."""
+    with pytest.raises(PosetError, match="unknown builtin poset"):
+        builtin_poset(spec)
+
+
 def test_parse_format_round_trip():
     for p in POSET_POOL:
         assert parse_poset(format_poset(p)) == p
