@@ -142,14 +142,16 @@ class FIElement:
         ``(sum_{k<c} (-nu)^k) d^{-1}``, ``c`` the longest chain. Since
         ``d^{-1}`` is diagonal, ``(d^{-1} a_J)_xy = d^{-1}_x a_xy`` and
         ``(s d^{-1})_xy = s_xy d^{-1}_y`` are single products; the powers of
-        ``-nu`` are convolved over ``convolution_plan`` and reduced per
-        coordinate, and each output coordinate is reduced once.
+        ``-nu`` are convolved over ``convolution_plan`` by ``Field.convolve``,
+        which reduces each coordinate once, and each output coordinate is
+        reduced once.
         """
         if not self.is_unit():
             raise NotAUnitError("element has a zero diagonal coefficient")
         poset = self.poset
         n = poset.n
-        reduce = self.field.reduce
+        field = self.field
+        reduce = field.reduce
         plan = poset.convolution_plan
         ends = [(poset.index(x), poset.index(y)) for x, y in poset.basis_pairs]
         d_inv = [c.inverse().value for c in self.coeffs[:n]]
@@ -158,9 +160,7 @@ class FIElement:
         acc = [1] * n + [0] * (len(a) - n)
         term = acc
         for _ in range(poset.longest_chain - 1):
-            term = [reduce(sum([term[i] * nilpotent[j] for i, j in terms
-                                if term[i] and nilpotent[j]])).value
-                    for terms in plan]
+            term = field.convolve(plan, term, nilpotent)
             if not any(term):
                 break
             acc = [s + t for s, t in zip(acc, term)]

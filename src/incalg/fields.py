@@ -6,10 +6,21 @@ No floating point is used anywhere: ``Field.scalar`` refuses floats.
 
 ``Scalar`` is the type at every API boundary, and its operators serve the
 code that is not hot. A ``LinearMap`` holds canonical values; its ``rows``
-box them on read. The hot kernels (``LinearMap.apply``, convolution,
+box them on read. The hot code (``LinearMap.apply``, convolution,
 ``FIElement.inverse``, ``LinearMap.rank``, the subset table and the pattern
-scans) accumulate a plain ``int`` (a ``Fraction`` over Q) and reduce it once
-by ``Field.canonical``, or by ``Field.reduce`` to a ``Scalar``. Over F_2 the
+scans) accumulates a plain ``int`` (a ``Fraction`` over Q) and reduces it
+once by ``Field.canonical``, or by ``Field.reduce`` to a ``Scalar``. Three
+sums recur, and each field owns them as value kernels that reduce each
+output coordinate once: ``Field.row_sums`` (each row over the diagonal
+columns: ``is_unital`` and the ``PreserverSpec`` check), ``Field.matvec``
+(a matrix times a sparse vector: ``LinearMap.apply``) and
+``Field.convolve`` (two value vectors over ``convolution_plan``: the
+nilpotent series of ``FIElement.inverse`` and the inverse scan). Over F_p a
+kernel is the plain ``sum(...) % p``. Over Q it keeps an integer numerator
+over a running denominator, multiplied in only when a term's denominator
+differs from it, and builds one ``Fraction`` per output, so it pays one gcd
+per coordinate where ``Fraction`` arithmetic pays one per add and per
+multiply. Over F_2 the
 subset table, the strongness scan and the rank need no reduction at all:
 they read the diagonal block's columns (the matrix's rows, for the rank) as
 bitmasks and combine them by XOR. Over any other field a block has a subset
@@ -27,6 +38,7 @@ from scalars.
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
 from functools import cached_property
 
@@ -74,6 +86,24 @@ class Field:
 
     def canonical(self, value):
         """The canonical form of a trusted value computed on ``.value``s."""
+        raise NotImplementedError
+
+    # value kernels: trusted canonical values in, a list of canonical values
+    # out, each output coordinate reduced once
+
+    def row_sums(self, rows, n: int) -> list:
+        """The sum of each row over its first ``n`` columns, the diagonal
+        columns of a map's matrix."""
+        raise NotImplementedError
+
+    def matvec(self, rows, support) -> list:
+        """Each row times a sparse vector given by its nonzero coordinates,
+        the pairs ``(j, v)``."""
+        raise NotImplementedError
+
+    def convolve(self, plan, a, b) -> list:
+        """The convolution of two value vectors over a poset's
+        ``convolution_plan``."""
         raise NotImplementedError
 
     def reduce(self, value) -> "Scalar":
@@ -147,6 +177,18 @@ class PrimeField(Field):
     def canonical(self, value: int) -> int:
         return value % self.p
 
+    def row_sums(self, rows, n: int) -> list[int]:
+        p = self.p
+        return [sum(row[:n]) % p for row in rows]
+
+    def matvec(self, rows, support) -> list[int]:
+        p = self.p
+        return [sum([c * v for j, v in support if (c := row[j])]) % p for row in rows]
+
+    def convolve(self, plan, a, b) -> list[int]:
+        p = self.p
+        return [sum([a[i] * b[j] for i, j in terms if a[i] and b[j]]) % p for terms in plan]
+
     def elements(self) -> list["Scalar"]:
         return [Scalar(self, v) for v in range(self.p)]
 
@@ -154,6 +196,10 @@ class PrimeField(Field):
         """A decimal integer, reduced mod p."""
         if not _INTEGER.fullmatch(text):
             raise ParseError(f"bad {self} scalar literal: {text!r}")
+        try:
+            _check_literal_size(text, f"{self} scalar")
+        except ScalarError as exc:
+            raise ParseError(str(exc)) from None
         return self.scalar(int(text))
 
     def format_value(self, value: int) -> str:
@@ -188,16 +234,72 @@ class Rationals(Field):
         # a sum over no terms is the int 0; Fraction(Fraction) would be slow
         return value if type(value) is Fraction else Fraction(value)
 
+    # The kernels sum each output as an integer numerator over a running
+    # denominator (see the module docstring); an empty sum is 0. ``int``
+    # values pass too: ``as_integer_ratio`` reads both types.
+
+    def row_sums(self, rows, n: int) -> list[Fraction]:
+        out = []
+        for row in rows:
+            num, den = 0, 1
+            for c in row[:n]:
+                cn, cd = c.as_integer_ratio()
+                if cn:
+                    if cd == den:
+                        num += cn
+                    else:
+                        num = num * cd + cn * den
+                        den *= cd
+            out.append(Fraction(num) if den == 1 else Fraction(num, den))
+        return out
+
+    def matvec(self, rows, support) -> list[Fraction]:
+        terms = [(j, *v.as_integer_ratio()) for j, v in support]
+        out = []
+        for row in rows:
+            num, den = 0, 1
+            for j, vn, vd in terms:
+                cn, cd = row[j].as_integer_ratio()
+                if cn:
+                    if (t := cd * vd) == den:
+                        num += cn * vn
+                    else:
+                        num = num * t + cn * vn * den
+                        den *= t
+            out.append(Fraction(num) if den == 1 else Fraction(num, den))
+        return out
+
+    def convolve(self, plan, a, b) -> list[Fraction]:
+        a = [v.as_integer_ratio() for v in a]
+        b = [v.as_integer_ratio() for v in b]
+        out = []
+        for terms in plan:
+            num, den = 0, 1
+            for i, j in terms:
+                an, ad = a[i]
+                if an:
+                    bn, bd = b[j]
+                    if bn:
+                        if (t := ad * bd) == den:
+                            num += an * bn
+                        else:
+                            num = num * t + an * bn * den
+                            den *= t
+            out.append(Fraction(num) if den == 1 else Fraction(num, den))
+        return out
+
     def elements(self) -> list["Scalar"]:
         raise InfiniteFieldError("cannot enumerate an infinite field")
 
     def parse_scalar(self, text: str) -> "Scalar":
         """``num/den``, an integer, or an exact decimal such as ``0.5`` or
         ``1e-3``."""
+        if not _RATIONAL.fullmatch(text):
+            raise ParseError(f"bad rational scalar literal: {text!r}")
         try:
             return self.scalar(text)
-        except ScalarError:
-            raise ParseError(f"bad rational scalar literal: {text!r}") from None
+        except ScalarError as exc:
+            raise ParseError(str(exc)) from None
 
     def format_value(self, value: Fraction) -> str:
         return f"{value.numerator}/{value.denominator}"
@@ -220,8 +322,37 @@ def _exact(value, field: Field) -> int | Fraction:
     if isinstance(value, str):
         if not _RATIONAL.fullmatch(value):
             raise ScalarError(f"bad {field} scalar: {value!r}")
+        _check_literal_size(value, f"{field} scalar")
         return Fraction(value)
     raise ScalarError(f"{type(value).__name__} {value!r} is not an exact scalar of {field}")
+
+
+def _check_literal_size(text: str, what: str) -> None:
+    """Refuse, from its text alone, a literal whose value would need more
+    than ``sys.get_int_max_str_digits()`` decimal digits: ``int`` refuses to
+    read such a number and ``str`` to write it, and an exponent costs time
+    and memory as large as its value. The size of ``num/den`` is its longer
+    part; that of a decimal is its mantissa digits (an empty integer part
+    counts one) plus the absolute value of its exponent, which bounds the
+    digits of the numerator and of the denominator it builds. ``text``
+    matches ``_RATIONAL``."""
+    limit = sys.get_int_max_str_digits()
+    if not limit:
+        return
+    mantissa, _, exponent = text.lstrip("+-").lower().partition("e")
+    if "/" in mantissa:
+        size = max(map(len, mantissa.split("/")))
+    else:
+        whole, _, fraction = mantissa.partition(".")
+        digits = exponent.lstrip("+-")
+        value = digits.lstrip("0")
+        # a value with more digits than the limit's exceeds it on its own;
+        # ``int`` refuses an exponent written with too many digits, zeros too
+        power = int(value or 0) if len(value) <= len(str(limit)) else limit
+        size = max(max(len(whole), 1) + len(fraction) + power, len(digits))
+    if size > limit:
+        shown = text if len(text) <= 24 else text[:20] + "..."
+        raise ScalarError(f"{what} literal {shown!r} needs more than {limit} digits")
 
 
 def parse_field(text: str) -> Field:
@@ -233,8 +364,9 @@ def parse_field(text: str) -> Field:
         if not _INTEGER.fullmatch(tokens[1]):
             raise ParseError(f"bad field literal: {text!r}")
         try:
+            _check_literal_size(tokens[1], "field")
             return PrimeField(int(tokens[1]))
-        except ValueError as exc:
+        except (ScalarError, ValueError) as exc:
             raise ParseError(str(exc)) from None
     raise ParseError(f"bad field literal: {text!r} (expected 'Fp <prime>' or 'Q')")
 

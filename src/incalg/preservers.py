@@ -108,26 +108,23 @@ class LinearMap:
         return cls(poset, field, rows)
 
     def apply(self, a: FIElement) -> FIElement:
-        """The image of ``a``, computed on plain values: each output
-        coordinate sums the products of nonzero row entries and nonzero
-        input coordinates, and is reduced once. The element's coefficients
-        were checked to lie in the field when it was built."""
+        """The image of ``a``, computed on plain values by ``Field.matvec``:
+        each output coordinate sums the products of nonzero row entries and
+        nonzero input coordinates, and is reduced once. The element's
+        coefficients were checked to lie in the field when it was built."""
         if a.poset != self.poset:
             raise MismatchError("map and element live over different posets")
         if a.field != self.field:
             raise FieldMismatchError("map and element live over different fields")
+        field = self.field
         support = [(j, c.value) for j, c in enumerate(a.coeffs) if c.value]
-        reduce = self.field.reduce
-        out = [reduce(sum([c * v for j, v in support if (c := row[j])]))
-               for row in self.values]
-        return FIElement(self.poset, self.field, out)
+        return FIElement(self.poset, field,
+                         [Scalar(field, v) for v in field.matvec(self.values, support)])
 
     def is_unital(self) -> bool:
         """phi(delta) = delta, read off the row sums over the diagonal columns."""
-        n = self.poset.n
-        canonical = self.field.canonical
-        return all(canonical(sum(row[:n])) == (1 if i < n else 0)
-                   for i, row in enumerate(self.values))
+        n, d = self.poset.n, self.poset.dimension
+        return self.field.row_sums(self.values, n) == [1] * n + [0] * (d - n)
 
     def rank(self) -> int:
         """Exact rank by Gaussian elimination (any supported field)."""
@@ -226,8 +223,7 @@ class PreserverSpec:
         if any(any(row) for row in values[:n]):
             raise MismatchError("radical map must have zero diagonal-output rows")
         # psi(delta) sums each row over the diagonal columns
-        canonical = self.field.canonical
-        if any(canonical(sum(row[:n])) for row in values[n:]):
+        if any(self.field.row_sums(values[n:], n)):
             raise MismatchError("psi must annihilate delta")
 
 
@@ -457,7 +453,6 @@ def find_inverse_counterexample(phi: LinearMap,
     """
     poset, field = phi.poset, phi.field
     n, d = poset.n, poset.dimension
-    canonical = field.canonical
     plan = poset.convolution_plan
     columns = [[(i, c) for i, c in enumerate(column) if c] for column in zip(*phi.values)]
     delta = [1] * n + [0] * (d - n)
@@ -472,8 +467,7 @@ def find_inverse_counterexample(phi: LinearMap,
 
     for u, u_inv in units:
         a, b = image(u), image(u_inv)
-        if [canonical(sum([a[i] * b[j] for i, j in terms if a[i] and b[j]]))
-                for terms in plan] != delta:
+        if field.convolve(plan, a, b) != delta:
             return u
     return None
 
@@ -505,7 +499,6 @@ def find_jordan_counterexample(phi: LinearMap) -> tuple[FIElement, FIElement] | 
     """
     poset, field = phi.poset, phi.field
     pairs, index = poset.basis_pairs, poset.pair_index
-    canonical = field.canonical
     columns = list(zip(*phi.values))
     zero = (0,) * len(pairs)
     bit = {x: 1 << k for k, x in enumerate(poset.elements)}
@@ -526,7 +519,7 @@ def find_jordan_counterexample(phi: LinearMap) -> tuple[FIElement, FIElement] | 
         for j in range(i, len(pairs)):
             z, w = pairs[j]
             if y == z and w == x:
-                lhs = tuple(canonical(2 * v) for v in columns[i])
+                lhs = tuple(field.matvec(phi.values, [(i, 2)]))
             elif y == z:
                 lhs = columns[index[(x, w)]]
             elif w == x:

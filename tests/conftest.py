@@ -55,12 +55,27 @@ POSET_POOL = [
 ]
 
 
+BIG = 10**40
+
+
 def scalars(field):
+    """Scalars of ``field``. Over Q, small fractions mixed with numerators
+    and denominators up to 10^40, so that sums over Q meet equal, mixed and
+    large denominators."""
     if isinstance(field, PrimeField):
         return st.integers(min_value=0, max_value=field.p - 1).map(field.scalar)
-    fractions = st.fractions(
-        min_value=Fraction(-50), max_value=Fraction(50), max_denominator=12)
+    fractions = st.one_of(
+        st.fractions(min_value=Fraction(-50), max_value=Fraction(50), max_denominator=12),
+        st.builds(Fraction, st.integers(-BIG, BIG), st.integers(1, BIG)))
     return fractions.map(field.scalar)
+
+
+def random_rational(rng: random.Random) -> Fraction:
+    """A seeded rational: three times in four with a numerator and a
+    denominator below 10, else up to 10^40."""
+    if rng.random() < 0.75:
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+    return Fraction(rng.randint(-BIG, BIG), rng.randint(1, BIG))
 
 
 def elements_of(poset, field):

@@ -1,5 +1,6 @@
 import json
 import random
+import sys
 from pathlib import Path
 
 import pytest
@@ -323,6 +324,34 @@ def test_late_header_line_and_bad_scalars_exit_two_with_their_line(tmp_path, cap
         assert code == 2, message
         assert captured.out == ""
         assert captured.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("header,entry", [
+    ("Fp 3", "7" * 5000), ("Q", "7" * 5000), ("Q", "1/" + "7" * 5000), ("Q", "1e999999"),
+    ("Q", "1e1000000"), ("Q", "-2.5E-99999"), ("Fp " + "7" * 5000, "1")],
+    ids=["fp-digits", "q-digits", "q-denominator", "q-exponent", "q-exponent-1e6",
+         "q-negative-exponent", "field-modulus"])
+def test_oversized_literals_exit_two_with_their_line(tmp_path, capsys, header, entry):
+    """A literal whose digits plus exponent exceed Python's integer-string
+    limit is bad input on every verb that reads it: exit 2, one error line
+    that names the line, and no traceback."""
+    limit = sys.get_int_max_str_digits()
+    map_path = tmp_path / "phi.txt"
+    map_path.write_text(f"map\nfield: {header}\nposet: chain:1\n{entry}\n")
+    spec_path = tmp_path / "spec.txt"
+    spec_path.write_text(f"preserver-spec\nfield: {header}\nposet: chain:2\n"
+                         f"lambda: 1->{{1}} 2->{{2}}\npsi:\n0 0 {entry}\n")
+    bad_header = len(header) > 5
+    for verb, flag, path, line in (("classify", "--map", map_path, 4),
+                                   ("check", "--map", map_path, 4),
+                                   ("criteria", "--spec", spec_path, 6)):
+        code = main([verb, flag, str(path)])
+        captured = capsys.readouterr()
+        assert code == 2, (verb, header)
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: line {2 if bad_header else line}: ")
+        assert captured.err.endswith(f"needs more than {limit} digits\n")
+        assert captured.err.count("\n") == 1
 
 
 def test_missing_file_exits_two(capsys):

@@ -3,7 +3,8 @@ and never lets an exception escape as a traceback.
 
 Argument lists are drawn from the eight verbs, their flags, and valid and
 garbage values: bad fields and posets, reversed and negative ranges,
-directories, missing and undecodable files. Valid instances are kept small
+directories, missing and undecodable files, and files with scalar or field
+literals past Python's integer-string limit. Valid instances are kept small
 (posets of at most two elements, fields of at most three elements) so that
 every drawn command runs in well under a second.
 """
@@ -38,6 +39,15 @@ FILES = {
     "rational-spec": "preserver-spec\nfield: Q\nposet: chain:2\n"
                      "lambda: 1->{1} 2->{2}\npsi:\n0 0 1\n",
     "poset": "poset\nelements: a b\nrelations: a<b\n",
+    # literals past Python's integer-string limit, in digits or by exponent
+    "oversized-map": "map\nfield: Fp 3\nposet: chain:1\n" + "7" * 5000 + "\n",
+    "oversized-rational-map": "map\nfield: Q\nposet: chain:1\n1/" + "7" * 5000 + "\n",
+    "exponent-map": "map\nfield: Q\nposet: chain:2\n1 0 0\n0 1e999999 0\n0 0 1\n",
+    "oversized-spec": "preserver-spec\nfield: Fp 3\nposet: chain:2\n"
+                      "lambda: 1->{1} 2->{2}\npsi:\n0 0 " + "7" * 5000 + "\n",
+    "exponent-spec": "preserver-spec\nfield: Q\nposet: chain:2\n"
+                     "lambda: 1->{1} 2->{2}\npsi:\n0 0 -1E-1000000\n",
+    "oversized-field": "map\nfield: Fp " + "7" * 5000 + "\nposet: chain:1\n1\n",
     "garbage": "map\nfield: Fp 3\nposet: chain:2\n1 2\nx y z\n",
     "empty": "",
 }

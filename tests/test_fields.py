@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction
 
 import pytest
@@ -14,8 +15,9 @@ from incalg import (
     parse_field,
     parse_linear_map,
 )
+from incalg.fields import MAX_PRIME
 
-from conftest import F2, F3, F5, PRIME_FIELDS, Q, scalars
+from conftest import BIG, F2, F3, F5, POSET_POOL, PRIME_FIELDS, Q, scalars
 
 
 def test_modular_addition():
@@ -152,6 +154,47 @@ def test_field_literal_modulus_is_ascii_decimal(text):
         parse_field(text)
 
 
+LIMIT = sys.get_int_max_str_digits()
+
+
+def short(value) -> str | None:
+    """A test id for a long literal or value: its head and its length."""
+    text = str(value)
+    return f"{text[:8]}...{len(text)}chars" if len(text) > 24 else None
+
+
+@pytest.mark.parametrize("field,text", [
+    (F3, "7" * (LIMIT + 1)), (F3, "-" + "0" * (LIMIT + 1)),
+    (Q, "7" * (LIMIT + 1)), (Q, "1/" + "7" * (LIMIT + 1)), (Q, "7" * (LIMIT + 1) + "/3"),
+    (Q, "1e999999"), (Q, "1e1000000"), (Q, "1E-999999"), (Q, f"1e{LIMIT}"),
+    (Q, f".5e-{LIMIT - 1}"), (Q, "1." + "0" * LIMIT), (Q, "1e" + "9" * (LIMIT + 1)),
+    (Q, "1e+" + "0" * LIMIT + "5")], ids=short)
+def test_oversized_literals_are_refused_from_their_text(field, text):
+    """A literal whose digits plus exponent exceed Python's integer-string
+    limit is refused before any number is built: ``int`` would raise
+    ``ValueError`` on it, and ``1e999999`` would parse and then fail to
+    print."""
+    with pytest.raises(ParseError, match=f"literal .* needs more than {LIMIT} digits"):
+        field.parse_scalar(text)
+    with pytest.raises(ScalarError, match=f"needs more than {LIMIT} digits"):
+        field.scalar(text)
+
+
+@pytest.mark.parametrize("text,value", [
+    ("7" * LIMIT, int("7" * LIMIT)), ("-" + "7" * LIMIT, -int("7" * LIMIT)),
+    (f"1e{LIMIT - 1}", 10 ** (LIMIT - 1)), (f"1e-{LIMIT - 1}", Fraction(1, 10 ** (LIMIT - 1))),
+    ("1/" + "7" * LIMIT, Fraction(1, int("7" * LIMIT))), ("1e+" + "0" * (LIMIT - 1) + "5", 10**5)], ids=short)
+def test_literals_at_the_size_limit_parse_and_print(text, value):
+    assert Q.parse_scalar(text) == Q.scalar(value)
+    assert Q.format_scalar(Q.parse_scalar(text))
+    assert F3.parse_scalar("7" * LIMIT) == F3.scalar(int("7" * LIMIT))
+
+
+def test_oversized_field_modulus_is_refused():
+    with pytest.raises(ParseError, match=f"field literal .* needs more than {LIMIT} digits"):
+        parse_field("Fp " + "7" * (LIMIT + 1))
+
+
 @pytest.mark.parametrize("header,row,message", [
     ("Fp 1_1", "1 0 0", "line 2: bad field literal: 'Fp 1_1'"),
     ("Fp 11", "1_0 0 0", "line 4: bad Fp 11 scalar literal: '1_0'"),
@@ -229,3 +272,83 @@ def test_reduce_gives_canonical_scalars():
     assert F5.reduce(-1).value == 4
     assert Q.reduce(0).value == Fraction(0) and type(Q.reduce(0).value) is Fraction
     assert Q.reduce(Fraction(2, 4)) == Q.scalar("1/2")
+
+
+# the value kernels against a plain reference: the terms summed with Fraction
+# arithmetic (exact ints over F_p) and reduced once by ``canonical``, which is
+# ``% p`` over F_p
+
+KERNEL_FIELDS = [F2, F3, PrimeField(MAX_PRIME), Q]
+
+
+def kernel_values(field):
+    """Values a kernel is given: canonical values, zeros, and over F_p the
+    unreduced integer sums that the inverse scan passes; over Q also plain
+    ints, and fractions with equal, mixed and large denominators."""
+    big = st.integers(-BIG, BIG)
+    if isinstance(field, PrimeField):
+        return st.one_of(st.integers(0, field.p - 1), big)
+    denominators = st.one_of(st.sampled_from([1, 2, 3, 6, BIG]), st.integers(1, BIG))
+    return st.one_of(st.just(0), st.just(Fraction(0)), big,
+                     st.builds(Fraction, big, denominators))
+
+
+def assert_canonical(field, got, expected):
+    assert got == expected
+    if isinstance(field, PrimeField):
+        assert all(type(v) is int and 0 <= v < field.p for v in got)
+    else:
+        assert all(type(v) is Fraction for v in got)
+
+
+def reference(field, terms) -> object:
+    return field.canonical(sum(terms, 0))
+
+
+@given(st.sampled_from(KERNEL_FIELDS), st.data())
+def test_row_sums_match_the_reference(field, data):
+    width = data.draw(st.integers(0, 6))
+    rows = data.draw(st.lists(
+        st.lists(kernel_values(field), min_size=width, max_size=width), max_size=5))
+    n = data.draw(st.integers(0, width))
+    assert_canonical(field, field.row_sums(rows, n), [reference(field, row[:n]) for row in rows])
+
+
+@given(st.sampled_from(KERNEL_FIELDS), st.data())
+def test_matvec_matches_the_reference(field, data):
+    width = data.draw(st.integers(1, 6))
+    rows = data.draw(st.lists(
+        st.lists(kernel_values(field), min_size=width, max_size=width), max_size=5))
+    support = data.draw(st.lists(
+        st.tuples(st.integers(0, width - 1), kernel_values(field)), max_size=width))
+    assert_canonical(field, field.matvec(rows, support),
+                     [reference(field, [row[j] * v for j, v in support]) for row in rows])
+
+
+@given(st.sampled_from(KERNEL_FIELDS), st.data())
+def test_convolve_matches_the_reference(field, data):
+    """Over a random plan, empty term lists included, and over the plan of
+    a poset from the pool."""
+    size = data.draw(st.integers(1, 6))
+    pair = st.tuples(st.integers(0, size - 1), st.integers(0, size - 1))
+    plans = [data.draw(st.lists(st.lists(pair, max_size=5), max_size=5))]
+    poset = data.draw(st.sampled_from(POSET_POOL))
+    if poset.dimension <= size:
+        plans.append(poset.convolution_plan)
+    vector = st.lists(kernel_values(field), min_size=size, max_size=size)
+    a, b = data.draw(vector), data.draw(vector)
+    for plan in plans:
+        assert_canonical(field, field.convolve(plan, a, b),
+                         [reference(field, [a[i] * b[j] for i, j in terms]) for terms in plan])
+
+
+def test_rational_kernels_keep_one_running_denominator():
+    """Equal denominators add their numerators, a new one multiplies the
+    running denominator in, and the result is reduced once."""
+    half, third = Fraction(1, 2), Fraction(1, 3)
+    assert Q.row_sums([[half, half, third], [third, -third, half], []], 2) == [1, 0, 0]
+    assert Q.matvec([[half, 0, third]], [(0, half), (2, Fraction(-3, 4))]) == [0]
+    assert Q.convolve([[(0, 0), (1, 1)], []], [half, third], [half, 3]) == [
+        Fraction(5, 4), 0]
+    big = Fraction(BIG + 1, BIG)
+    assert Q.row_sums([[big, -big, big]], 3) == [big]

@@ -6,9 +6,11 @@ lemma laws read off the matrix and the sample's coefficient tuples, and the
 row-sum checks of ``is_unital`` and ``PreserverSpec``) against the
 boxed-``Scalar`` reference in ``boxed_reference.py``, and of the verdicts
 that ``analyze_map`` reads off the normal form against the brute-force
-scans."""
+scans. The reports of a seeded batch over Q are pinned by their digest."""
 
 import functools
+import hashlib
+import json
 import random
 from fractions import Fraction
 from operator import or_
@@ -66,7 +68,8 @@ from boxed_reference import (
     boxed_spec_checks,
     boxed_to_xor_endo,
 )
-from conftest import F2, F3, F5, POSET_POOL, PRIME_FIELDS, Q, RING_FIELDS, random_xor_endo
+from conftest import (
+    F2, F3, F5, POSET_POOL, PRIME_FIELDS, Q, RING_FIELDS, random_rational, random_xor_endo)
 
 MAP_KINDS = ["sparse", "zero-one", "unital", "stage-ii", "preserver", "perturbed"]
 SCAN_CAP = 700  # p^n bound for the exhaustive scans, to keep the boxed side fast
@@ -77,7 +80,7 @@ def _value(field, rng, zero_share=0.5):
         return 0
     if isinstance(field, PrimeField):
         return rng.randrange(field.p)
-    return Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+    return random_rational(rng)
 
 
 def random_map(poset, field, kind: str, rng: random.Random) -> LinearMap:
@@ -658,6 +661,61 @@ def test_jordan_scan_at_the_algebra_cap():
     a, b = find_jordan_counterexample(changed)
     assert (changed.apply(jordan_product(a, b))
             != jordan_product(changed.apply(a), changed.apply(b)))
+
+
+def large_rational(rng: random.Random) -> Fraction:
+    """A nonzero rational other than -1, with a numerator and a denominator
+    of up to twelve digits."""
+    while True:
+        v = Fraction(rng.randint(-10**12, 10**12), rng.randint(1, 10**12))
+        if v and v != -1:
+            return v
+
+
+def q_report_batch() -> list[LinearMap]:
+    """Seeded maps over Q. On each poset: a preserver whose radical map is
+    scaled by a large rational; a late refutation (one radical entry of a
+    diagonal-output row set, where the poset has radical coordinates), which
+    keeps the map unital and every subset-table law; and an early one (a
+    diagonal-block row that still sums to 1, with phi(e_x) worth 1 + c on
+    it). Then a non-unital preserver and a Jordan automorphism."""
+    rng = random.Random(23)
+    maps = []
+    for name in ("chain:4", "diamond", "chain:5", "antichain:6"):
+        poset = builtin_poset(name)
+        n, d = poset.n, poset.dimension
+        spec = random_preserver_spec(poset, Q, rng)
+        spec = PreserverSpec(poset, Q, spec.endo, spec.radical_map.scale(large_rational(rng)))
+        phi = build_preserver(spec)
+        maps.append(phi)
+        if d > n:
+            rows = [list(r) for r in phi.rows]
+            rows[rng.randrange(n)][rng.randrange(n, d)] = Q.scalar(large_rational(rng))
+            maps.append(LinearMap(poset, Q, rows))
+        rows = [list(r) for r in phi.rows]
+        y = rng.randrange(n)
+        x = spec.endo.owners()[y]
+        c = large_rational(rng)
+        rows[y][x] = Q.scalar(1 + c)
+        rows[y][(x + 1 + rng.randrange(n - 1)) % n] = Q.scalar(-c)
+        maps.append(LinearMap(poset, Q, rows))
+    maps.append(maps[0].scale(Fraction(-3, 7)))
+    maps.append(jordan_map(builtin_poset("chain:4"), Q, rng))
+    return maps
+
+
+def test_q_reports_are_pinned():
+    """The ``analyze_map`` reports of a seeded batch over Q, witnesses
+    included, hashed as JSON, so that no change in how the rational sums are
+    computed moves a verdict, a normal form or a witness."""
+    reports = [analyze_map(phi) for phi in q_report_batch()]
+    preserver = [r["verdicts"]["preserver"] for r in reports]
+    assert preserver == [True, False, False] * 3 + [True, False, True, True]
+    assert [r["verdicts"]["unital"] for r in reports][-2:] == [False, True]
+    assert reports[-1]["verdicts"]["jordan"] is True
+    text = json.dumps(reports)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "ecdb17f88a75b229e4e2c6cd4a21f99a42a167c1b2616b084ae666f4923ceac3")
 
 
 UNIT_CAP = 1000  # units for the inverse scan, to keep the property fast
