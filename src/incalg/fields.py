@@ -15,12 +15,14 @@ output coordinate once: ``Field.row_sums`` (each row over the diagonal
 columns: ``is_unital`` and the ``PreserverSpec`` check), ``Field.matvec``
 (a matrix times a sparse vector: ``LinearMap.apply``) and
 ``Field.convolve`` (two value vectors over ``convolution_plan``: the
-nilpotent series of ``FIElement.inverse`` and the inverse scan). Over F_p a
-kernel is the plain ``sum(...) % p``. Over Q it keeps an integer numerator
-over a running denominator, multiplied in only when a term's denominator
-differs from it, and builds one ``Fraction`` per output, so it pays one gcd
-per coordinate where ``Fraction`` arithmetic pays one per add and per
-multiply. Over F_2 the
+nilpotent series of ``FIElement.inverse``, the inverse scan and the
+reduction phi(delta)^-1 phi of ``analyze_map``). Over F_p a kernel is the
+plain ``sum(...) % p``. Over Q it keeps an integer numerator over a running
+denominator, multiplied in only when a term's denominator differs from it,
+and builds one ``Fraction`` per output, so it pays one gcd per coordinate
+where ``Fraction`` arithmetic pays one per add and per multiply. Over Q the
+row sums are ``matvec`` against delta; F_p keeps its one-line sum, which
+the census measures per survivor. Over F_2 the
 subset table, the strongness scan and the rank need no reduction at all:
 they read the diagonal block's columns (the matrix's rows, for the rank) as
 bitmasks and combine them by XOR. Over any other field a block has a subset
@@ -93,8 +95,8 @@ class Field:
 
     def row_sums(self, rows, n: int) -> list:
         """The sum of each row over its first ``n`` columns, the diagonal
-        columns of a map's matrix."""
-        raise NotImplementedError
+        columns of a map's matrix: the matrix times delta."""
+        return self.matvec(rows, [(j, 1) for j in range(n)])
 
     def matvec(self, rows, support) -> list:
         """Each row times a sparse vector given by its nonzero coordinates,
@@ -237,21 +239,6 @@ class Rationals(Field):
     # The kernels sum each output as an integer numerator over a running
     # denominator (see the module docstring); an empty sum is 0. ``int``
     # values pass too: ``as_integer_ratio`` reads both types.
-
-    def row_sums(self, rows, n: int) -> list[Fraction]:
-        out = []
-        for row in rows:
-            num, den = 0, 1
-            for c in row[:n]:
-                cn, cd = c.as_integer_ratio()
-                if cn:
-                    if cd == den:
-                        num += cn
-                    else:
-                        num = num * cd + cn * den
-                        den *= cd
-            out.append(Fraction(num) if den == 1 else Fraction(num, den))
-        return out
 
     def matvec(self, rows, support) -> list[Fraction]:
         terms = [(j, *v.as_integer_ratio()) for j, v in support]

@@ -115,10 +115,7 @@ class Poset:
     @cached_property
     def basis_pairs(self) -> tuple[tuple[str, str], ...]:
         """Canonical basis order: diagonal pairs first, then strict pairs."""
-        if self.n > ALGEBRA_SIZE_CAP:
-            raise GateError(
-                f"poset too large for algebra construction: "
-                f"{self.n} elements > cap {ALGEBRA_SIZE_CAP}", size=self.n)
+        _check_size(str(self.n))
         return tuple((x, x) for x in self.elements) + self.strict_pairs
 
     @cached_property
@@ -213,6 +210,20 @@ class Poset:
         return f"Poset({self.display_name}, n={self.n})"
 
 
+def _check_size(digits: str) -> None:
+    """Refuse a poset of more than ``ALGEBRA_SIZE_CAP`` elements from the
+    decimal digits of its size, so that no label, order or long ``int`` is
+    built first. A size of more than 24 digits is shown shortened, as
+    scalar literals are, and carries no ``GateError.size``."""
+    digits = digits.lstrip("0") or "0"
+    if len(digits) <= len(str(ALGEBRA_SIZE_CAP)) and int(digits) <= ALGEBRA_SIZE_CAP:
+        return
+    short = len(digits) <= 24
+    raise GateError(f"poset too large for algebra construction: "
+                    f"{digits if short else digits[:20] + '...'} elements "
+                    f"> cap {ALGEBRA_SIZE_CAP}", size=int(digits) if short else None)
+
+
 def builtin_poset(spec: str) -> Poset:
     """Named built-ins: ``chain:n``, ``antichain:n``, ``v``, ``diamond``."""
     if spec == "v":
@@ -225,6 +236,7 @@ def builtin_poset(spec: str) -> Poset:
         )
     m = re.fullmatch(r"(chain|antichain):([0-9]+)", spec)
     if m:
+        _check_size(m.group(2))
         kind, n = m.group(1), int(m.group(2))
         if n < 1:
             raise PosetError(f"builtin poset needs at least one element: {spec!r}")
@@ -274,6 +286,7 @@ def parse_poset(text: str, name: str | None = None) -> Poset:
         raise ParseError("missing 'elements:' line", 1)
     if not saw_relations:
         raise ParseError("missing 'relations:' line", 1)
+    _check_size(str(len(elements)))
     try:
         return Poset.from_relations(elements, pairs, name=name)
     except PosetError as exc:

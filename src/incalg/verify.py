@@ -281,8 +281,11 @@ def _census_gate(poset: Poset, field: Field, gate_override: bool) -> int:
     q, n = field.p, poset.n
     space = q ** (poset.dimension ** 2)
     if space > CENSUS_SPACE_CAP and not gate_override:
-        raise GateError(
-            f"census space {space} exceeds cap {CENSUS_SPACE_CAP}", size=space)
+        try:
+            shown = str(space)
+        except ValueError:  # more digits than ``str(int)`` writes
+            shown = f"{q}^{poset.dimension ** 2}"
+        raise GateError(f"census space {shown} exceeds cap {CENSUS_SPACE_CAP}", size=space)
     # every survivor runs the preserver scan, and the census also the
     # strongness scan: refuse before the row scan, not at the first survivor
     _gate((q - 1) ** n, "preserves_invertibility", gate_override)
@@ -882,15 +885,16 @@ def analyze_map(phi: LinearMap, gate_override: bool = False) -> dict:
     witnesses: dict = {}
     report = {"poset": poset.display_name, "field": format_field(field),
               "verdicts": verdicts, "lambda": None, "psi": None, "witnesses": witnesses}
-    spec, psi, u, about = None, phi, None, ""
+    spec, psi, u, about, involutive = None, phi, None, "", True
     if not verdicts["unital"]:
         delta = FIElement.delta(poset, field)
         u = phi.apply(delta)
         if u.is_unit():
-            u_inv = u.inverse()
-            psi = LinearMap.from_basis_images(poset, field, {
-                pair: u_inv * FIElement(poset, field, column)
-                for pair, column in zip(poset.basis_pairs, zip(*phi.rows))})
+            plan, values = poset.convolution_plan, [c.value for c in u.coeffs]
+            u_inv = [c.value for c in u.inverse().coeffs]
+            psi = LinearMap._of_values(poset, field, tuple(zip(*(
+                field.convolve(plan, u_inv, column) for column in zip(*phi.values)))))
+            involutive = field.convolve(plan, values, values) == [c.value for c in delta.coeffs]
             about = "phi(delta)^-1 phi: "
         else:
             verdicts["preserver"] = False
@@ -909,7 +913,7 @@ def analyze_map(phi: LinearMap, gate_override: bool = False) -> dict:
             witnesses["strong"] = f"non-unit {format_element(counter)} maps to a unit"
 
     jordan_pair = find_jordan_counterexample(phi)
-    if spec is None or (u is not None and u * u != delta):
+    if spec is None or not involutive:
         verdicts["inverse_preserving"] = False
     elif u is None and field.characteristic != 2:
         verdicts["inverse_preserving"] = jordan_pair is None

@@ -23,7 +23,10 @@ entry, by the lowest-bit recurrence that the library's doubling replaced.
 :func:`boxed_find_inverse_counterexample` builds every unit in its scan and
 compares phi(u^-1) with phi(u)^-1 through :func:`boxed_apply` and
 :func:`boxed_inverse`, where the library lists the units with their inverses
-once and tests phi(u) phi(u^-1) = delta.
+once and tests phi(u) phi(u^-1) = delta. :func:`boxed_unital_reduction`
+builds psi = phi(delta)^-1 phi from boxed products and rebuilds it through
+``LinearMap.from_basis_images``, where the library convolves the values of
+each column of the matrix.
 """
 
 from itertools import product
@@ -345,3 +348,20 @@ def boxed_span_table(images, combine):
     for m in range(1, len(t)):
         t[m] = combine(t[m & (m - 1)], images[(m & -m).bit_length() - 1])
     return tuple(t)
+
+
+def boxed_unital_reduction(phi):
+    """The reduction of a non-unital map in ``analyze_map``: with u =
+    phi(delta), None when u is not a unit, else psi = u^-1 phi, built
+    column by column from the products u^-1 phi(e_k), and whether u^2 =
+    delta."""
+    poset, field = phi.poset, phi.field
+    delta = FIElement.delta(poset, field)
+    u = boxed_apply(phi, delta)
+    if not u.is_unit():
+        return None
+    u_inv = boxed_inverse(u)
+    psi = LinearMap.from_basis_images(poset, field, {
+        pair: boxed_convolve(u_inv, FIElement(poset, field, column))
+        for pair, column in zip(poset.basis_pairs, zip(*phi.rows))})
+    return psi, boxed_convolve(u, u) == delta

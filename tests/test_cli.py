@@ -86,6 +86,40 @@ def test_census_gate_violation_reports_size(capsys):
     assert str(3**36) in captured.err  # chain:3 has d = 6, so 3^(d^2) matrices
 
 
+def test_census_space_too_long_to_print_is_shown_as_a_power(capsys):
+    """chain:16 over F2 has 2^(136^2) matrices, more digits than ``str``
+    writes: every verb behind the census gate exits 2 and names the power."""
+    for verb in ("census", "lemmas"):
+        code = main([verb, "--poset", "chain:16", "--field", "Fp", "2"])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: census space 2^18496 exceeds cap 100000000\n")
+
+
+@pytest.mark.parametrize("size, shown", [
+    ("99999999", "99999999"), ("7" * 5000, "7" * 20 + "...")])
+def test_oversized_builtin_poset_exits_two(capsys, size, shown):
+    """The size of chain:n is gated from its digits, before any label is
+    built or any long number is read."""
+    code = main(["census", "--poset", f"chain:{size}", "--field", "Fp", "2"])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"error: poset too large for algebra construction: {shown} elements > cap 16\n")
+
+
+def test_oversized_poset_file_exits_two(tmp_path, capsys):
+    """A poset file's size is gated from its ``elements:`` line, before its
+    order is closed and checked."""
+    labels = [f"x{i}" for i in range(400)]
+    path = tmp_path / "chain400.txt"
+    path.write_text("poset\nelements: " + " ".join(labels) + "\nrelations: "
+                    + " ".join(f"{x}<{y}" for x, y in zip(labels, labels[1:])) + "\n")
+    code = main(["census", "--poset", str(path), "--field", "Fp", "2"])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "error: poset too large for algebra construction: 400 elements > cap 16\n")
+
+
 def test_build_and_classify_round_trip(tmp_path, capsys):
     spec_path = tmp_path / "spec.txt"
     spec_path.write_text(SWAP_SPEC)

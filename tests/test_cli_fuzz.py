@@ -25,7 +25,7 @@ VERBS = ["build", "classify", "check", "census", "lemmas", "criteria",
 GATED_VERBS = ["check", "census", "lemmas", "criteria", "inverse-suite"]
 
 POSETS = ["chain:1", "chain:2", "antichain:2", "chain:0", "chain:17", "antichain:x",
-          "nope", ""]
+          "nope", "", "chain:99999999", "chain:" + "7" * 5000]
 SMALL_FIELDS = [["Fp", "2"], ["Fp", "3"], ["Q"]]
 BAD_FIELDS = [["Fp", "4"], ["Fp"], ["Fp", "x"], ["R"], ["Fp", "-3"], ["Fp", "2", "3"]]
 # within the census space cap on chain:1, beyond the per-survivor scan caps

@@ -346,7 +346,8 @@ def test_rational_kernels_keep_one_running_denominator():
     """Equal denominators add their numerators, a new one multiplies the
     running denominator in, and the result is reduced once."""
     half, third = Fraction(1, 2), Fraction(1, 3)
-    assert Q.row_sums([[half, half, third], [third, -third, half], []], 2) == [1, 0, 0]
+    assert Q.row_sums([[half, half, third], [third, -third, half], [0, 0, half]], 2) == [
+        1, 0, 0]
     assert Q.matvec([[half, 0, third]], [(0, half), (2, Fraction(-3, 4))]) == [0]
     assert Q.convolve([[(0, 0), (1, 1)], []], [half, third], [half, 3]) == [
         Fraction(5, 4), 0]

@@ -3,10 +3,12 @@
 ``_rank_of_values``, ``extract_subset_map``, ``to_xor_endo``, the two
 diagonal-pattern scans, the Jordan scan read off the matrix columns, the
 lemma laws read off the matrix and the sample's coefficient tuples, and the
-row-sum checks of ``is_unital`` and ``PreserverSpec``) against the
-boxed-``Scalar`` reference in ``boxed_reference.py``, and of the verdicts
-that ``analyze_map`` reads off the normal form against the brute-force
-scans. The reports of a seeded batch over Q are pinned by their digest."""
+row-sum checks of ``is_unital`` and ``PreserverSpec``, and the reduction
+psi = phi(delta)^-1 phi of a non-unital map) against the boxed-``Scalar``
+reference in ``boxed_reference.py``, and of the verdicts that
+``analyze_map`` reads off the normal form against the brute-force scans.
+The reports of a seeded batch over Q, and of a seeded non-unital batch
+over F2, F3, F5 and Q, are pinned by their digests."""
 
 import functools
 import hashlib
@@ -14,6 +16,7 @@ import json
 import random
 from fractions import Fraction
 from operator import or_
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, strategies as st
@@ -22,6 +25,7 @@ from incalg import (
     ClassificationError,
     FieldMismatchError,
     FIElement,
+    InfiniteFieldError,
     LinearMap,
     MismatchError,
     NotAUnitError,
@@ -50,6 +54,7 @@ from incalg.preservers import (
     preserves_inverses,
     preserves_invertibility,
 )
+from incalg import verify
 from incalg.verify import _lemma_checks, _psi_radical_block_invertible, _sample_values
 
 from boxed_reference import (
@@ -67,6 +72,7 @@ from boxed_reference import (
     boxed_scale,
     boxed_spec_checks,
     boxed_to_xor_endo,
+    boxed_unital_reduction,
 )
 from conftest import (
     F2, F3, F5, POSET_POOL, PRIME_FIELDS, Q, RING_FIELDS, random_rational, random_xor_endo)
@@ -852,3 +858,131 @@ def test_inverse_scan_cases_reach_every_outcome():
                         seen.add((field.p == 2, phi.is_unital(), counter is None))
     assert {(char2, unital, ip) for char2 in (True, False)
             for unital in (True, False) for ip in (True, False)} - seen == set()
+
+
+def dense_unit(poset, field, rng: random.Random) -> FIElement:
+    """A unit with every coordinate nonzero."""
+    return FIElement.from_vector(poset, field, [
+        _value(field, rng, zero_share=0) or 1 for _ in range(poset.dimension)])
+
+
+def involution(poset, field, rng: random.Random) -> FIElement:
+    """g s g^-1 for a dense unit g and an s with s^2 = delta: s is diagonal
+    with entries +-1, plus c e[x,y] on a strict pair with s_x + s_y = 0
+    where there is one (any strict pair in characteristic 2), since
+    (s + c e[x,y])^2 = s^2 + c (s_x + s_y) e[x,y]."""
+    signs = dict(zip(poset.elements, (rng.choice((1, -1)) for _ in poset.elements)))
+    entries = {(x, x): s for x, s in signs.items()}
+    pairs = [(x, y) for x, y in poset.strict_pairs if not field.scalar(signs[x] + signs[y])]
+    if pairs:
+        entries[rng.choice(pairs)] = _value(field, rng, zero_share=0) or 1
+    g = dense_unit(poset, field, rng)
+    return g * FIElement.from_dict(poset, field, entries) * g.inverse()
+
+
+def left_multiplied(u: FIElement, phi: LinearMap) -> LinearMap:
+    """u phi: each column phi(e_k) multiplied by u on the left."""
+    poset, field = phi.poset, phi.field
+    return LinearMap.from_basis_images(poset, field, {
+        pair: u * FIElement(poset, field, column)
+        for pair, column in zip(poset.basis_pairs, zip(*phi.rows))})
+
+
+def nonunital_report_batch() -> list[LinearMap]:
+    """Seeded maps, on each poset and field: u phi for a random preserver
+    phi and a dense unit u; v phi for an involution v, so that phi(delta)^2
+    = delta, except on diamond over F5, where the unit scan that this case
+    reaches lists 800,000 units; u phi' for copies phi' of phi with
+    phi'(delta) = delta: one with a diagonal-block row changed and its sum
+    kept, and, where the poset has radical coordinates, a non-preserver
+    with a radical entry of a diagonal-output row set; and 2 times the
+    identity, which is 0 over F2. The maps are not unital, except u phi,
+    v phi and u phi' on antichain:6 over F2, whose only unit is delta."""
+    rng = random.Random(24)
+    maps = []
+    for field in (F2, F3, F5, Q):
+        for name in ("chain:4", "diamond", "chain:8", "antichain:6"):
+            poset = builtin_poset(name)
+            n, d = poset.n, poset.dimension
+            phi = random_map(poset, field, "preserver", rng)
+            maps.append(left_multiplied(dense_unit(poset, field, rng), phi))
+            if (name, field) != ("diamond", F5):
+                maps.append(left_multiplied(involution(poset, field, rng), phi))
+            refuted = [perturbed_maps(phi, rng)[1]]
+            if d > n:
+                refuted.append(changed_entry(phi, rng.randrange(n), rng.randrange(n, d), rng))
+            maps += [left_multiplied(dense_unit(poset, field, rng), m) for m in refuted]
+            maps.append(LinearMap.identity(poset, field).scale(2))
+    return maps
+
+
+def test_nonunital_reports_are_pinned():
+    """The ``analyze_map`` reports of the non-unital batch, witnesses
+    included, hashed as JSON, so that no change in how psi = phi(delta)^-1
+    phi is computed moves a verdict or a witness."""
+    maps = nonunital_report_batch()
+    assert [phi.is_unital() for phi in maps].count(True) == 3
+    reports = [analyze_map(phi) for phi in maps]
+    assert [r["verdicts"]["preserver"] for r in reports].count(True) == 48
+    text = json.dumps(reports)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "a7e785984c97e078b0ef382a3343133a562f3bb192e9624314fc5cdcc7c3dc69")
+
+
+def reduction_cases(poset, field, kind: str, rng: random.Random) -> list[LinearMap]:
+    """The non-unital maps among u phi, v phi and phi, for phi a map of the
+    given kind, u a dense unit and v an involution."""
+    phi = random_map(poset, field, kind, rng)
+    maps = [left_multiplied(dense_unit(poset, field, rng), phi),
+            left_multiplied(involution(poset, field, rng), phi), phi]
+    return [m for m in maps if not m.is_unital()]
+
+
+
+
+@given(instances(RING_FIELDS))
+def test_unital_reduction_matches_boxed_reference(instance):
+    """On a non-unital map, ``analyze_map`` classifies the psi = u^-1 phi of
+    the boxed reduction, entry for entry, or nothing when u = phi(delta) is
+    not a unit; and when psi classifies, it reaches the unit scan exactly
+    when u^2 = delta. The scan is stubbed to raise, so only whether it is
+    reached is observed."""
+    poset, field, kind, rng = instance
+    for phi in reduction_cases(poset, field, kind, rng):
+        expected = boxed_unital_reduction(phi)
+        with (patch.object(verify, "classify", wraps=classify) as classified,
+              patch.object(verify, "iter_units",
+                           side_effect=InfiniteFieldError("stubbed scan")) as scan):
+            report = analyze_map(phi)
+        if expected is None:
+            assert not classified.called and not scan.called
+            continue
+        psi, squares_to_delta = expected
+        (seen,), _ = classified.call_args
+        assert seen.values == psi.values
+        if report["verdicts"]["preserver"]:
+            assert scan.called == squares_to_delta
+
+
+def test_reduction_cases_reach_every_branch():
+    """Over every field the cases reach u = phi(delta) not a unit, u^2 =
+    delta and u^2 != delta, and in both of the last two a psi that classify
+    accepts and one that it refutes."""
+    rng = random.Random(0)
+    seen = set()
+    for field in RING_FIELDS:
+        for poset in POSET_POOL:
+            for kind in MAP_KINDS:
+                for phi in reduction_cases(poset, field, kind, rng):
+                    expected = boxed_unital_reduction(phi)
+                    if expected is None:
+                        seen.add((field, "not a unit"))
+                        continue
+                    psi, squares_to_delta = expected
+                    branch = "u^2 = delta" if squares_to_delta else "u^2 != delta"
+                    seen.add((field, branch))
+                    seen.add((field, branch, outcome(classify, psi)[0] == "result"))
+    branches = ("not a unit", "u^2 = delta", "u^2 != delta")
+    assert {(field, branch) for field in RING_FIELDS for branch in branches} <= seen
+    assert {(field, branch, accepted) for field in RING_FIELDS for branch in branches[1:]
+            for accepted in (True, False)} <= seen

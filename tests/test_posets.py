@@ -156,6 +156,24 @@ def test_algebra_size_gate():
         big.basis_pairs
 
 
+def test_oversized_references_are_refused_before_they_are_built():
+    """A builtin size is read from its digits and a poset file's size from
+    its ``elements:`` line, before any label or order is built; a size too
+    long to print is shortened."""
+    with pytest.raises(GateError, match=r": 17 elements > cap 16$") as info:
+        builtin_poset("antichain:017")
+    assert info.value.size == 17
+    with pytest.raises(GateError, match=r": 99999999 elements > cap 16$"):
+        builtin_poset("chain:99999999")
+    with pytest.raises(GateError, match=r": 7{20}\.\.\. elements > cap 16$") as info:
+        builtin_poset("chain:" + "7" * 5000)
+    assert info.value.size is None
+    labels = " ".join(f"x{i}" for i in range(400))
+    with pytest.raises(GateError, match=r": 400 elements > cap 16$"):
+        parse_poset(f"poset\nelements: {labels}\nrelations: x0<x1\n")
+    assert builtin_poset("chain:016").n == 16
+
+
 def test_builtins():
     assert builtin_poset("chain:4").elements == ("1", "2", "3", "4")
     assert builtin_poset("antichain:2").strict_pairs == ()
