@@ -18,9 +18,11 @@ columns: ``is_unital`` and the ``PreserverSpec`` check), ``Field.matvec``
 nilpotent series of ``FIElement.inverse``, the inverse scan and the
 reduction phi(delta)^-1 phi of ``analyze_map``). Over F_p a kernel is the
 plain ``sum(...) % p``. Over Q it keeps an integer numerator over a running
-denominator, multiplied in only when a term's denominator differs from it,
-and builds one ``Fraction`` per output, so it pays one gcd per coordinate
-where ``Fraction`` arithmetic pays one per add and per multiply. Over Q the
+denominator, the lcm of the term denominators: a term whose denominator t
+differs from it multiplies in only the new part, t // gcd(den, t). It
+builds one ``Fraction`` per output, so it pays one gcd per coordinate and
+one per change of denominator, where ``Fraction`` arithmetic pays one per
+add and per multiply. Over Q the
 row sums are ``matvec`` against delta; F_p keeps its one-line sum, which
 the census measures per survivor. Over F_2 the
 subset table, the strongness scan and the rank need no reduction at all:
@@ -43,6 +45,7 @@ import re
 import sys
 from fractions import Fraction
 from functools import cached_property
+from math import gcd
 
 from .errors import FieldMismatchError, InfiniteFieldError, ParseError, ScalarError
 
@@ -251,8 +254,9 @@ class Rationals(Field):
                     if (t := cd * vd) == den:
                         num += cn * vn
                     else:
-                        num = num * t + cn * vn * den
-                        den *= t
+                        g = gcd(den, t)
+                        num = num * (t // g) + cn * vn * (den // g)
+                        den *= t // g
             out.append(Fraction(num) if den == 1 else Fraction(num, den))
         return out
 
@@ -270,8 +274,9 @@ class Rationals(Field):
                         if (t := ad * bd) == den:
                             num += an * bn
                         else:
-                            num = num * t + an * bn * den
-                            den *= t
+                            g = gcd(den, t)
+                            num = num * (t // g) + an * bn * (den // g)
+                            den *= t // g
             out.append(Fraction(num) if den == 1 else Fraction(num, den))
         return out
 

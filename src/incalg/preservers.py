@@ -244,21 +244,20 @@ def build_preserver(spec: PreserverSpec) -> LinearMap:
     return LinearMap._of_values(poset, field, rows + spec.radical_map.values[n:])
 
 
-def _diagonal_block(phi: LinearMap) -> list[tuple]:
-    """The values of the diagonal-output rows on the diagonal columns.
+def _first_pattern(rows: Sequence[Sequence], p: int, patterns: Iterable[tuple],
+                   unit: bool) -> tuple | None:
+    """The first diagonal pattern t of ``patterns`` for which every row . t
+    is nonzero mod p exactly when ``unit`` holds, or None.
 
-    The image diagonal of a diagonal element (one that is zero on every
-    radical coordinate) is this block times its diagonal, for any map.
+    Each row is read on its first len(t) entries, so the diagonal-output
+    rows of a map are its diagonal block: once stage (i) holds, the image
+    diagonal of the pattern is that block times t, and it is a unit exactly
+    when every row . t is nonzero.
     """
-    n = phi.poset.n
-    return [row[:n] for row in phi.values[:n]]
-
-
-def _diagonal_element(poset: Poset, field: Field, diagonal) -> FIElement:
-    """The element with the canonical values ``diagonal`` on the diagonal
-    coordinates (the first n) and zero elsewhere."""
-    zeros = [field.zero] * (poset.dimension - poset.n)
-    return FIElement(poset, field, [Scalar(field, v) for v in diagonal] + zeros)
+    for t in patterns:
+        if all(sum(map(mul, row, t)) % p for row in rows) == unit:
+            return t
+    return None
 
 
 def _first_full_pattern(poset: Poset, field: Field, images: Sequence[int]) -> FIElement | None:
@@ -272,38 +271,21 @@ def _first_full_pattern(poset: Poset, field: Field, images: Sequence[int]) -> FI
     k = _span_table(images[::-1]).index(full)
     if k == full:
         return None
-    return _diagonal_element(poset, field, [k >> (n - 1 - j) & 1 for j in range(n)])
+    pattern = [k >> (n - 1 - j) & 1 for j in range(n)]
+    return FIElement.from_vector(poset, field, pattern + [0] * (poset.dimension - n))
 
 
-def _column_masks(phi: LinearMap) -> list[int] | None:
-    """The diagonal block's columns as masks of the rows that hold a 1, or
-    None when some entry is neither 0 nor 1. Over F_2 every entry is 0 or
-    1, and the masks are the block as a GF(2) matrix stored by columns: the
-    image diagonal of a 0/1 diagonal pattern is the XOR of its columns."""
-    n = phi.poset.n
-    columns = [0] * n
-    for i, row in enumerate(phi.values[:n]):
-        for j in range(n):
-            if row[j]:
-                if row[j] != 1:
-                    return None
-                columns[j] |= 1 << i
-    return columns
+def _block_columns(phi: LinearMap) -> list[int]:
+    """The diagonal block's columns as masks of the rows that hold a 1.
 
-
-def extract_subset_map(phi: LinearMap) -> SubsetMapTable:
-    """Extract the subset map A -> {x : phi(e_A)_xx = 1}.
-
-    The diagonal of phi(e_A) sums the diagonal-block columns of A, and every
-    value of it must be 0 or 1. Over F_2 every entry is 0 or 1, and the table
-    is the XOR span of the columns read as masks. Over any other field a
-    column holding a value outside {0, 1} refutes at its singleton, and two
+    The diagonal of phi(e_A) sums the block columns of A, and every value of
+    it must be 0 or 1 for A to have an image in the subset table. A column
+    holding a value outside {0, 1} refutes at its singleton. Off F_2, two
     0/1 columns with a 1 in the same row refute at their pair, whose sum is
-    2 there; otherwise the columns are pairwise disjoint 0/1 masks, and
-    their XOR span is the table. Columns are read in order, so the witness
-    is the first failing subset in mask order (a singleton {k} comes before
-    every pair whose larger column is k), at its first failing row. The
-    table has 2^n entries for n <= 16, the cap of the algebra.
+    2 there; over F_2 every entry is 0 or 1 and nothing refutes. Columns
+    are read in order, so the witness is the first failing subset in mask
+    order (a singleton {k} comes before every pair whose larger column is
+    k), at its first failing row.
     """
     poset, field = phi.poset, phi.field
     n = poset.n
@@ -334,7 +316,18 @@ def extract_subset_map(phi: LinearMap) -> SubsetMapTable:
             refute([j, k], field.canonical(2), (shared & -shared).bit_length() - 1)
         union |= column
         columns.append(column)
-    return SubsetMapTable(elements, _span_table(columns))
+    return columns
+
+
+def extract_subset_map(phi: LinearMap) -> SubsetMapTable:
+    """Extract the subset map A -> {x : phi(e_A)_xx = 1}.
+
+    The block columns (``_block_columns``, which refutes a block without a
+    table) are pairwise disjoint 0/1 masks off F_2, and any 0/1 masks over
+    F_2; in both cases the table is their XOR span. It has 2^n entries for
+    n <= 16, the cap of the algebra.
+    """
+    return SubsetMapTable(phi.poset.elements, _span_table(_block_columns(phi)))
 
 
 def extract_radical_map(phi: LinearMap) -> LinearMap:
@@ -375,11 +368,8 @@ def find_nonpreserved_unit(phi: LinearMap, gate_override: bool = False) -> FIEle
                 return delta + basis_element(poset, field, x, y).scale(t)
     p = field.p
     _gate((p - 1) ** n, "preserves_invertibility", gate_override)
-    block = _diagonal_block(phi)
-    for diag in product(range(1, p), repeat=n):
-        if not all(sum(map(mul, row, diag)) % p for row in block):
-            return _diagonal_element(poset, field, diag)
-    return None
+    t = _first_pattern(phi.values[:n], p, product(range(1, p), repeat=n), unit=False)
+    return None if t is None else FIElement.from_vector(poset, field, t + (0,) * (d - n))
 
 
 def preserves_invertibility(phi: LinearMap, gate_override: bool = False) -> bool:
@@ -397,18 +387,14 @@ def find_strongness_counterexample(phi: LinearMap,
     """
     field = _require_prime(phi.field, "is_strong", classified=True)
     poset = phi.poset
-    n = poset.n
+    n, d = poset.n, poset.dimension
     p = field.p
     _gate(p ** n, "is_strong", gate_override)
     if p == 2:
-        return _first_full_pattern(poset, field, _column_masks(phi))
-    block = _diagonal_block(phi)
-    for diag in product(range(p), repeat=n):
-        if all(diag):
-            continue
-        if all(sum(map(mul, row, diag)) % p for row in block):
-            return _diagonal_element(poset, field, diag)
-    return None
+        return _first_full_pattern(poset, field, _block_columns(phi))
+    non_units = (t for t in product(range(p), repeat=n) if not all(t))
+    t = _first_pattern(phi.values[:n], p, non_units, unit=True)
+    return None if t is None else FIElement.from_vector(poset, field, t + (0,) * (d - n))
 
 
 def is_strong(phi: LinearMap, gate_override: bool = False) -> bool:

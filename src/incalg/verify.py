@@ -64,6 +64,7 @@ from .preservers import (
     preserves_invertibility,
     psi_to_json,
     _first_full_pattern,
+    _first_pattern,
     _gate,
     _rank_of_values,
 )
@@ -256,13 +257,12 @@ def _iter_preserver_matrices(poset: Poset, field: PrimeField, start: int,
     q = field.p
     diagonal_rows, radical_rows = [], []
     for code, row in enumerate(product(range(q), repeat=d)):
-        head = row[:n]
-        diagonal_sum = sum(head) % q
+        diagonal_sum = sum(row[:n]) % q
         if not unital or diagonal_sum == 0:
             radical_rows.append((code, row))
         if (not any(row[n:]) and (not unital or diagonal_sum == 1)
-                and all(sum(a * b for a, b in zip(head, v)) % q
-                        for v in product(range(1, q), repeat=n))):
+                and _first_pattern([row], q, product(range(1, q), repeat=n),
+                                   unit=False) is None):
             diagonal_rows.append((code, row))
     row_space = q**d
     for choice in product(*[diagonal_rows] * n, *[radical_rows] * (d - n)):

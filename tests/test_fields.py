@@ -15,6 +15,7 @@ from incalg import (
     parse_field,
     parse_linear_map,
 )
+from incalg import fields
 from incalg.fields import MAX_PRIME
 
 from conftest import BIG, F2, F3, F5, POSET_POOL, PRIME_FIELDS, Q, scalars
@@ -343,8 +344,8 @@ def test_convolve_matches_the_reference(field, data):
 
 
 def test_rational_kernels_keep_one_running_denominator():
-    """Equal denominators add their numerators, a new one multiplies the
-    running denominator in, and the result is reduced once."""
+    """Equal denominators add their numerators, a new one multiplies its
+    new part into the running denominator, and the result is reduced once."""
     half, third = Fraction(1, 2), Fraction(1, 3)
     assert Q.row_sums([[half, half, third], [third, -third, half], [0, 0, half]], 2) == [
         1, 0, 0]
@@ -353,3 +354,25 @@ def test_rational_kernels_keep_one_running_denominator():
         Fraction(5, 4), 0]
     big = Fraction(BIG + 1, BIG)
     assert Q.row_sums([[big, -big, big]], 3) == [big]
+
+
+def test_rational_kernels_keep_the_lcm_of_the_term_denominators(monkeypatch):
+    """A term whose denominator differs from the running one multiplies in
+    only its new part: twelve terms over 2, 3, 5, 2, 3, 5, ... hand
+    ``Fraction`` a denominator dividing their lcm 30, not 30^4."""
+    seen = []
+
+    class Recording(Fraction):
+        def __new__(cls, numerator=0, denominator=None):
+            seen.append(denominator or 1)
+            return Fraction(numerator, denominator)
+
+    monkeypatch.setattr(fields, "Fraction", Recording)
+    parts = [Fraction(1, 2), Fraction(1, 3), Fraction(1, 5)] * 4
+    total = Fraction(62, 15)
+    assert Q.matvec([parts], [(j, 1) for j in range(12)]) == [total]
+    assert Q.convolve([[(j, j) for j in range(12)]], parts, [1] * 12) == [total]
+    # term denominators 6, 15, 10, ...: their lcm is 30 too
+    assert Q.convolve([[(j, j) for j in range(12)]], parts, parts[1:] + parts[:1]) == [
+        4 * (Fraction(1, 6) + Fraction(1, 15) + Fraction(1, 10))]
+    assert seen and all(30 % den == 0 for den in seen)

@@ -42,7 +42,9 @@ from incalg import (
     random_preserver_spec,
     resolve_poset,
 )
+from incalg.algebra import format_element
 from incalg.preservers import (
+    _first_full_pattern,
     find_jordan_counterexample,
     find_nonpreserved_unit,
     find_strongness_counterexample,
@@ -204,6 +206,15 @@ def test_nonpreserved_unit_witness_from_diagonal_scan():
     witness = find_nonpreserved_unit(phi)
     assert witness is not None
     assert witness.is_unit() and not phi.apply(witness).is_unit()
+
+
+def test_pattern_witnesses_hold_canonical_values():
+    """The strongness witness that ``check`` reports is built from canonical
+    values: over Q its coefficients are all ``Fraction``s, as in every other
+    element over Q."""
+    witness = _first_full_pattern(CHAIN2, Q, (3, 0))
+    assert format_element(witness) == "1/1*e[1]"
+    assert all(type(c.value) is Fraction for c in witness.coeffs)
 
 
 def test_preserves_invertibility_rejects_rationals():
