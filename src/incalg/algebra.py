@@ -2,8 +2,9 @@
 
 Elements are dense coefficient vectors over the canonical basis (diagonal
 pairs first, then strict pairs); the product is convolution. Coefficients
-are ``Scalar``s of the element's field, checked at construction, so the
-convolution and inversion can run on their plain values: each output
+are ``Scalar``s of the element's field, checked by the public constructors
+(values the library computed itself are boxed unchecked, by ``_of_values``),
+so the convolution and inversion can run on their plain values: each output
 coordinate is summed as an ``int`` (a ``Fraction`` over Q) and reduced once.
 Inversion uses the nilpotency of the strict-triangular part instead of
 elimination: with ``a = d(1 + nu)``, ``d`` the diagonal part and
@@ -41,6 +42,16 @@ class FIElement:
             raise MismatchError(
                 f"expected {poset.dimension} coefficients, got {len(self.coeffs)}")
         field.check_scalars(self.coeffs)
+
+    @classmethod
+    def _of_values(cls, poset: Poset, field: Field, values: Iterable) -> "FIElement":
+        """An element on canonical values of ``field``, boxed unchecked: for
+        values the library computed itself. Zeros share the field's zero."""
+        zero = field.zero
+        a = object.__new__(cls)
+        a.poset, a.field = poset, field
+        a.coeffs = tuple([Scalar(field, v) if v else zero for v in values])
+        return a
 
     # construction -----------------------------------------------------
 
@@ -181,11 +192,12 @@ class FIElement:
     # comparison -----------------------------------------------------------
 
     def __eq__(self, other) -> bool:
+        # once the fields agree, equal values mean equal scalars
         return (
             isinstance(other, FIElement)
             and other.poset == self.poset
             and other.field == self.field
-            and other.coeffs == self.coeffs
+            and [c.value for c in other.coeffs] == [c.value for c in self.coeffs]
         )
 
     def __hash__(self) -> int:

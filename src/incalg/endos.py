@@ -301,7 +301,7 @@ def to_xor_endo(table: SubsetMapTable) -> XorEndo:
         raise ClassificationError(
             "lb-prese-symm-diff",
             "table does not fix X, or its singleton images do not combine to X")
-    additive = endo.table().table
+    additive = _span_table(endo.columns)
     if additive != table.table:
         m = next(m for m, (a, b) in enumerate(zip(additive, table.table)) if a != b)
         raise ClassificationError(
@@ -382,13 +382,12 @@ def format_endo(endo: PartitionEndo | XorEndo) -> str:
     return f"{prefix}: " + " ".join(entries)
 
 
-def endo_to_json(endo: PartitionEndo | XorEndo) -> dict:
+def endo_to_json(endo: PartitionEndo | XorEndo, labels=None) -> dict:
+    """The kind of ``endo`` and each element's image as a list of labels;
+    ``labels(mask)``, when given, makes that list (a census report's memo)."""
     kind, key = (("partition", "blocks") if isinstance(endo, PartitionEndo)
                  else ("xor", "columns"))
-    return {
-        "kind": kind,
-        key: {
-            x: [y for i, y in enumerate(endo.elements) if m >> i & 1]
-            for x, m in zip(endo.elements, endo.images)
-        },
-    }
+    if labels is None:
+        def labels(m: int) -> list[str]:
+            return [y for i, y in enumerate(endo.elements) if m >> i & 1]
+    return {"kind": kind, key: {x: labels(m) for x, m in zip(endo.elements, endo.images)}}

@@ -46,9 +46,11 @@ SCAN_CAP = 10**6          # generic workload cap for exhaustive scans
 
 class LinearMap:
     """A K-linear map on I(X,K) as a matrix in the canonical basis, held as
-    canonical values in ``values``; ``rows`` boxes them on read."""
+    canonical values in ``values``; ``rows`` boxes them on read. A map is
+    immutable, so ``_columns`` keeps the diagonal block's column masks once
+    ``_block_columns`` has read them."""
 
-    __slots__ = ("poset", "field", "values")
+    __slots__ = ("poset", "field", "values", "_columns")
 
     def __init__(self, poset: Poset, field: Field,
                  rows: Sequence[Sequence[Scalar]]):
@@ -60,12 +62,13 @@ class LinearMap:
         self.poset = poset
         self.field = field
         self.values: tuple[tuple, ...] = tuple(tuple(c.value for c in row) for row in rows)
+        self._columns: tuple[int, ...] | None = None
 
     @classmethod
     def _of_values(cls, poset: Poset, field: Field, values: tuple[tuple, ...]) -> "LinearMap":
         """A map on a d x d tuple of tuples of canonical values, unchecked."""
         phi = object.__new__(cls)
-        phi.poset, phi.field, phi.values = poset, field, values
+        phi.poset, phi.field, phi.values, phi._columns = poset, field, values, None
         return phi
 
     @property
@@ -117,9 +120,8 @@ class LinearMap:
         if a.field != self.field:
             raise FieldMismatchError("map and element live over different fields")
         field = self.field
-        support = [(j, c.value) for j, c in enumerate(a.coeffs) if c.value]
-        return FIElement(self.poset, field,
-                         [Scalar(field, v) for v in field.matvec(self.values, support)])
+        support = [(j, v) for j, c in enumerate(a.coeffs) if (v := c.value)]
+        return FIElement._of_values(self.poset, field, field.matvec(self.values, support))
 
     def is_unital(self) -> bool:
         """phi(delta) = delta, read off the row sums over the diagonal columns."""
@@ -233,14 +235,16 @@ def build_preserver(spec: PreserverSpec) -> LinearMap:
     Diagonal-output rows copy the input diagonal through the endomorphism:
     output coordinate y reads input coordinate x when y lies in the image
     of {x} (the block of x; over F_2 the diagonal block is the GF(2) matrix
-    itself). Radical rows come from the radical map.
+    itself), and is zero on the radical columns. Radical rows come from the
+    radical map.
     """
     poset, field = spec.poset, spec.field
     n, d = poset.n, poset.dimension
     z, o = field.zero.value, field.one.value
     images = spec.endo.images
-    rows = tuple(tuple(o if x < n and images[x] >> y & 1 else z for x in range(d))
-                 for y in range(n))
+    pad = [z] * (d - n)
+    rows = tuple([tuple([o if image >> y & 1 else z for image in images] + pad)
+                  for y in range(n)])
     return LinearMap._of_values(poset, field, rows + spec.radical_map.values[n:])
 
 
@@ -271,11 +275,12 @@ def _first_full_pattern(poset: Poset, field: Field, images: Sequence[int]) -> FI
     k = _span_table(images[::-1]).index(full)
     if k == full:
         return None
-    pattern = [k >> (n - 1 - j) & 1 for j in range(n)]
-    return FIElement.from_vector(poset, field, pattern + [0] * (poset.dimension - n))
+    z, o = field.zero.value, field.one.value
+    pattern = [o if k >> (n - 1 - j) & 1 else z for j in range(n)]
+    return FIElement._of_values(poset, field, pattern + [z] * (poset.dimension - n))
 
 
-def _block_columns(phi: LinearMap) -> list[int]:
+def _block_columns(phi: LinearMap) -> tuple[int, ...]:
     """The diagonal block's columns as masks of the rows that hold a 1.
 
     The diagonal of phi(e_A) sums the block columns of A, and every value of
@@ -285,8 +290,12 @@ def _block_columns(phi: LinearMap) -> list[int]:
     2 there; over F_2 every entry is 0 or 1 and nothing refutes. Columns
     are read in order, so the witness is the first failing subset in mask
     order (a singleton {k} comes before every pair whose larger column is
-    k), at its first failing row.
+    k), at its first failing row. The masks are kept on the map, so its
+    subset table and its F_2 strongness scan read the block once; a
+    refuting block keeps nothing and raises again on the next read.
     """
+    if phi._columns is not None:
+        return phi._columns
     poset, field = phi.poset, phi.field
     n = poset.n
     elements = poset.elements
@@ -316,7 +325,8 @@ def _block_columns(phi: LinearMap) -> list[int]:
             refute([j, k], field.canonical(2), (shared & -shared).bit_length() - 1)
         union |= column
         columns.append(column)
-    return columns
+    phi._columns = tuple(columns)
+    return phi._columns
 
 
 def extract_subset_map(phi: LinearMap) -> SubsetMapTable:
@@ -360,6 +370,8 @@ def find_nonpreserved_unit(phi: LinearMap, gate_override: bool = False) -> FIEle
     poset = phi.poset
     n, d = poset.n, poset.dimension
     for i, row in enumerate(phi.values[:n]):
+        if not any(row[n:]):
+            continue
         for j in range(n, d):
             if row[j]:
                 delta = FIElement.delta(poset, field)
@@ -369,7 +381,7 @@ def find_nonpreserved_unit(phi: LinearMap, gate_override: bool = False) -> FIEle
     p = field.p
     _gate((p - 1) ** n, "preserves_invertibility", gate_override)
     t = _first_pattern(phi.values[:n], p, product(range(1, p), repeat=n), unit=False)
-    return None if t is None else FIElement.from_vector(poset, field, t + (0,) * (d - n))
+    return None if t is None else FIElement._of_values(poset, field, t + (0,) * (d - n))
 
 
 def preserves_invertibility(phi: LinearMap, gate_override: bool = False) -> bool:
@@ -394,7 +406,7 @@ def find_strongness_counterexample(phi: LinearMap,
         return _first_full_pattern(poset, field, _block_columns(phi))
     non_units = (t for t in product(range(p), repeat=n) if not all(t))
     t = _first_pattern(phi.values[:n], p, non_units, unit=True)
-    return None if t is None else FIElement.from_vector(poset, field, t + (0,) * (d - n))
+    return None if t is None else FIElement._of_values(poset, field, t + (0,) * (d - n))
 
 
 def is_strong(phi: LinearMap, gate_override: bool = False) -> bool:

@@ -96,16 +96,6 @@ class MapRecord:
     strong: bool
     bijective: bool
 
-    def to_json(self, field: Field) -> dict:
-        return {
-            "index": self.index,
-            "matrix": [[field.format_value(v) for v in row] for row in self.matrix],
-            "lambda": endo_to_json(self.spec.endo),
-            "psi": psi_to_json(self.spec),
-            "strong": self.strong,
-            "bijective": self.bijective,
-        }
-
 
 @dataclass
 class CensusReport:
@@ -130,6 +120,32 @@ class CensusReport:
         return self.complete and self.oracle_count == self.theorem_count
 
     def to_json(self) -> dict:
+        """The report with one entry per record. Every matrix and psi row of
+        a census comes from its admissible row lists, so each distinct row
+        is formatted once, as is each distinct lambda image's label list;
+        each record gets its own lists of those shared strings."""
+        fmt, elements, n = self.field.format_value, self.poset.elements, self.poset.n
+        rows: dict[tuple, list[str]] = {}
+        images: dict[int, list[str]] = {}
+
+        def row_json(row: tuple) -> list[str]:
+            text = rows.get(row)
+            if text is None:
+                text = rows[row] = [fmt(v) for v in row]
+            return text.copy()
+
+        def labels(mask: int) -> list[str]:
+            text = images.get(mask)
+            if text is None:
+                text = images[mask] = [y for i, y in enumerate(elements) if mask >> i & 1]
+            return text.copy()
+
+        maps = [{"index": r.index,
+                 "matrix": [row_json(row) for row in r.matrix],
+                 "lambda": endo_to_json(r.spec.endo, labels),
+                 "psi": [row_json(row) for row in r.spec.radical_map.values[n:]],
+                 "strong": r.strong,
+                 "bijective": r.bijective} for r in self.records]
         return {
             "poset": self.poset.display_name,
             "field": format_field(self.field),
@@ -140,7 +156,7 @@ class CensusReport:
             "theorem_count": self.theorem_count,
             "consistent": self.consistent,
             "elapsed_seconds": round(self.elapsed_seconds, 6),
-            "maps": [r.to_json(self.field) for r in self.records],
+            "maps": maps,
         }
 
 

@@ -26,7 +26,9 @@ compares phi(u^-1) with phi(u)^-1 through :func:`boxed_apply` and
 once and tests phi(u) phi(u^-1) = delta. :func:`boxed_unital_reduction`
 builds psi = phi(delta)^-1 phi from boxed products and rebuilds it through
 ``LinearMap.from_basis_images``, where the library convolves the values of
-each column of the matrix.
+each column of the matrix. :func:`plain_record_json` formats one census
+record entry by entry, where ``CensusReport.to_json`` formats each distinct
+row and lambda image of a report once.
 """
 
 from itertools import product
@@ -36,6 +38,7 @@ from incalg.endos import (
     PartitionEndo,
     SubsetMapTable,
     XorEndo,
+    endo_to_json,
     labels_of,
 )
 from incalg.errors import (
@@ -44,7 +47,7 @@ from incalg.errors import (
     MismatchError,
     NotAUnitError,
 )
-from incalg.preservers import LinearMap, _gate, _require_prime
+from incalg.preservers import LinearMap, _gate, _require_prime, psi_to_json
 from incalg.verify import _lemma_checks
 
 
@@ -365,3 +368,17 @@ def boxed_unital_reduction(phi):
         pair: boxed_convolve(u_inv, FIElement(poset, field, column))
         for pair, column in zip(poset.basis_pairs, zip(*phi.rows))})
     return psi, boxed_convolve(u, u) == delta
+
+
+def plain_record_json(record, field):
+    """A census record as JSON, formatted where each entry is read:
+    ``format_value`` per matrix entry, and ``endo_to_json`` and
+    ``psi_to_json`` on the record's normal form."""
+    return {
+        "index": record.index,
+        "matrix": [[field.format_value(v) for v in row] for row in record.matrix],
+        "lambda": endo_to_json(record.spec.endo),
+        "psi": psi_to_json(record.spec),
+        "strong": record.strong,
+        "bijective": record.bijective,
+    }

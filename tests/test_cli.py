@@ -339,6 +339,17 @@ def test_duplicate_header_line_exits_two(tmp_path, capsys, line):
         assert err == f"error: line 3: duplicate '{line}:' line\n"
 
 
+def test_spec_file_ending_at_its_lambda_line_exits_two(tmp_path, capsys):
+    """A spec file with no line after 'lambda:' is bad input, not a crash."""
+    spec_path = tmp_path / "spec.txt"
+    spec_path.write_text("preserver-spec\nfield: Fp 3\nposet: chain:2\nlambda: 1->{1} 2->{2}\n")
+    code = main(["build", "--spec", str(spec_path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == "error: missing 'psi:' block\n"
+    assert "Traceback" not in captured.out + captured.err
+
+
 def test_late_header_line_and_bad_scalars_exit_two_with_their_line(tmp_path, capsys):
     """A 'field:' line after both header lines, and a bad scalar in a
     matrix or psi row, exit 2 with one error line that names the line."""

@@ -51,7 +51,7 @@ from incalg.preservers import (
     iter_idempotents,
 )
 
-from conftest import F2, F3, F5, POSET_POOL, Q, RING_FIELDS, scalars
+from conftest import F2, F3, F5, POSET_POOL, Q, RING_FIELDS, random_rational, scalars
 
 CHAIN2 = builtin_poset("chain:2")
 CHAIN3 = builtin_poset("chain:3")
@@ -91,6 +91,13 @@ def test_from_basis_images_rejects_a_non_basis_pair():
 def test_from_basis_images_rejects_an_image_over_another_poset(other):
     with pytest.raises(MismatchError, match="image of e\\[1,1\\] lives over a different poset"):
         LinearMap.from_basis_images(CHAIN2, F3, {("1", "1"): FIElement.delta(other, F3)})
+
+
+def test_from_basis_images_names_a_strict_pair_whose_image_is_over_another_poset():
+    """The message names both ends of the pair, in order."""
+    with pytest.raises(MismatchError) as info:
+        LinearMap.from_basis_images(CHAIN2, F3, {("1", "2"): FIElement.delta(ANTI3, F3)})
+    assert str(info.value) == "image of e[1,2] lives over a different poset"
 
 
 def test_apply_identity_and_zero():
@@ -215,6 +222,81 @@ def test_pattern_witnesses_hold_canonical_values():
     witness = _first_full_pattern(CHAIN2, Q, (3, 0))
     assert format_element(witness) == "1/1*e[1]"
     assert all(type(c.value) is Fraction for c in witness.coeffs)
+
+
+def _holds_canonical_values(a: FIElement) -> bool:
+    field = a.field
+    if field == Q:
+        return all(type(c.value) is Fraction for c in a.coeffs)
+    return all(type(c.value) is int and 0 <= c.value < field.p for c in a.coeffs)
+
+
+@pytest.mark.parametrize("field", [F2, F3, F5, Q], ids=str)
+def test_unchecked_elements_hold_canonical_values(field):
+    """``apply``, ``delta`` and every pattern witness box values that the
+    library computed, without the constructor's check: each coefficient is
+    still a ``Fraction`` over Q and an int in range(p) over Fp."""
+    rng = random.Random(5)
+    d = CHAIN3.dimension
+
+    def value():
+        return random_rational(rng) if field == Q else rng.randrange(field.p)
+
+    delta = FIElement.delta(CHAIN3, field)
+    assert _holds_canonical_values(delta)
+    for _ in range(20):
+        phi = LinearMap.from_rows(CHAIN3, field, [[value() for _ in range(d)] for _ in range(d)])
+        a = FIElement.from_vector(CHAIN3, field, [value() for _ in range(d)])
+        assert _holds_canonical_values(phi.apply(a))
+        assert _holds_canonical_values(phi.apply(delta))
+    images = [(0b011, 0b100, 0b000), (0b001, 0b010, 0b100), (0b111, 0b000, 0b000)]
+    witnesses = [_first_full_pattern(CHAIN3, field, im) for im in images]
+    if field != Q:
+        endo = XorEndo if field == F2 else PartitionEndo
+        collapse = endo(CHAIN2.elements, (0b11, 0b00))
+        phi = build_preserver(PreserverSpec(CHAIN2, field, collapse, zero_psi(CHAIN2, field)))
+        witnesses.append(find_strongness_counterexample(phi))
+        killer = LinearMap.from_rows(CHAIN2, field, [[1, field.p - 1, 0], [0, 1, 0], [0, 0, 1]])
+        witnesses.append(find_nonpreserved_unit(killer))
+    assert sum(w is not None for w in witnesses) == len(witnesses) - 1
+    assert all(_holds_canonical_values(w) for w in witnesses if w is not None)
+
+
+def test_equal_values_over_different_fields_stay_unequal():
+    """Elements compare their values only once poset and field agree."""
+    assert FIElement.delta(CHAIN2, F3) != FIElement.delta(CHAIN2, F5)
+    identity3, identity5 = LinearMap.identity(CHAIN2, F3), LinearMap.identity(CHAIN2, F5)
+    assert identity3.apply(FIElement.delta(CHAIN2, F3)) != identity5.apply(
+        FIElement.delta(CHAIN2, F5))
+    assert FIElement.delta(CHAIN2, F3) != FIElement.delta(ANTI3, F3)
+    assert FIElement.delta(CHAIN2, F3) == identity3.apply(FIElement.delta(CHAIN2, F3))
+
+
+def test_refuting_block_raises_again_on_the_next_read():
+    """A refuting diagonal block keeps no column masks, so the second
+    extraction refutes with the same law, message and witness."""
+    phi = LinearMap.from_rows(ANTI2, F3, [[1, 1], [0, 1]])
+    errors = []
+    for _ in range(2):
+        with pytest.raises(ClassificationError) as info:
+            extract_subset_map(phi)
+        errors.append((info.value.law, str(info.value), info.value.witness))
+    assert errors[0] == errors[1]
+    assert errors[0][2] == "A = {1, 2}"
+
+
+def test_column_masks_change_neither_equality_nor_hash():
+    """The diagonal block's column masks, kept after the first read, are
+    not part of a map's value."""
+    for field in (F2, F3, Q):
+        phi = LinearMap.identity(CHAIN3, field)
+        twin = LinearMap.identity(CHAIN3, field)
+        before = hash(phi)
+        table = extract_subset_map(phi)
+        assert extract_subset_map(phi) == table
+        assert phi == twin and twin == phi
+        assert hash(phi) == before == hash(twin)
+        assert len({phi, twin}) == 1
 
 
 def test_preserves_invertibility_rejects_rationals():
@@ -516,6 +598,13 @@ def test_unital_inverse_preservers_over_f5_preserve_idempotents():
     for phi in (LinearMap.identity(CHAIN2, F5), reversal, truncation):
         assert preserves_inverses(phi)
         assert preserves_idempotents(phi)
+
+
+def test_spec_file_ending_at_its_lambda_line_lacks_the_psi_block():
+    text = "preserver-spec\nfield: Fp 3\nposet: chain:2\nlambda: 1->{1} 2->{2}\n"
+    with pytest.raises(ParseError) as info:
+        parse_preserver_spec(text)
+    assert str(info.value) == "missing 'psi:' block"
 
 
 def test_spec_file_rejects_psi_not_annihilating_delta():

@@ -45,6 +45,7 @@ from incalg.algebra import basis_element, format_element
 from incalg.preservers import iter_idempotents
 from incalg.verify import CENSUS_SPACE_CAP, _idempotent_laws
 
+from boxed_reference import plain_record_json
 from conftest import F2, F3, F5, POSET_POOL, PRIME_FIELDS, Q
 
 CHAIN1 = builtin_poset("chain:1")
@@ -203,6 +204,41 @@ def test_census_builds_no_checked_map(monkeypatch):
         report = enumerate_preservers(poset, F3)
         assert report.oracle_count == count
         assert len(report.to_json()["maps"]) == count
+
+
+def _split_census(poset, field, split):
+    space = field.p ** (poset.dimension ** 2)
+    return merge_census(enumerate_preservers(poset, field, 0, split),
+                        enumerate_preservers(poset, field, split, space))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: enumerate_preservers(builtin_poset("antichain:4"), F2),
+    lambda: enumerate_preservers(CHAIN2, F3),
+    lambda: enumerate_preservers(ANTI3, F3),
+    lambda: enumerate_preservers(builtin_poset("v"), F2),
+    lambda: _split_census(CHAIN2, F5, 1_000_003),
+], ids=["antichain:4/F2", "chain:2/F3", "antichain:3/F3", "v/F2", "chain:2/F5-split"])
+def test_census_json_matches_the_plain_record_formatter(make):
+    """``to_json`` formats each distinct row and lambda image once per
+    report; its records equal those formatted entry by entry, and no two
+    records, nor a record's matrix and psi, share a list."""
+    report = make()
+    maps = report.to_json()["maps"]
+    expected = [plain_record_json(r, report.field) for r in report.records]
+    assert maps == expected
+
+    def lists(record):
+        (images,) = (v for k, v in record["lambda"].items() if k != "kind")
+        return [*record["matrix"], *record["psi"], *images.values()]
+
+    every = [id(text) for record in maps for text in lists(record)]
+    assert len(every) == len(set(every))
+    middle = len(maps) // 2
+    for text in lists(maps[middle]):
+        text.append("edited")
+    assert maps[:middle] == expected[:middle]
+    assert maps[middle + 1:] == expected[middle + 1:]
 
 
 def test_census_gate():
