@@ -1,11 +1,11 @@
 """The incidence algebra I(X,K) of a finite poset X over an exact field K.
 
 Elements are dense coefficient vectors over the canonical basis (diagonal
-pairs first, then strict pairs); the product is convolution. Coefficients
-are ``Scalar``s of the element's field, checked by the public constructors
-(values the library computed itself are boxed unchecked, by ``_of_values``),
-so the convolution and inversion can run on their plain values: each output
-coordinate is summed as an ``int`` (a ``Fraction`` over Q) and reduced once.
+pairs first, then strict pairs); the product is convolution, by the
+field's kernel ``Field.convolve``. Coefficients are ``Scalar``s of the
+element's field, checked by the public constructors; products, inverses
+and every other element the library computes run on plain values, reduce
+each output coordinate once, and are boxed unchecked by ``_of_values``.
 Inversion uses the nilpotency of the strict-triangular part instead of
 elimination: with ``a = d(1 + nu)``, ``d`` the diagonal part and
 ``nu = d^{-1} a_J``, the inverse is ``(sum_{k<c} (-nu)^k) d^{-1}`` where
@@ -125,12 +125,10 @@ class FIElement:
     def __mul__(self, other: "FIElement") -> "FIElement":
         """Convolution: (ab)_{xy} = sum over x <= z <= y of a_{xz} b_{zy}."""
         self._check_compat(other)
-        a = [c.value for c in self.coeffs]
-        b = [c.value for c in other.coeffs]
-        reduce = self.field.reduce
-        out = [reduce(sum([a[i] * b[j] for i, j in terms if a[i] and b[j]]))
-               for terms in self.poset.convolution_plan]
-        return FIElement(self.poset, self.field, out)
+        poset, field = self.poset, self.field
+        return FIElement._of_values(poset, field, field.convolve(
+            poset.convolution_plan, [c.value for c in self.coeffs],
+            [c.value for c in other.coeffs]))
 
     def decompose(self) -> tuple["FIElement", "FIElement"]:
         """Split into (diagonal part, radical part); their sum is self."""
@@ -162,7 +160,6 @@ class FIElement:
         poset = self.poset
         n = poset.n
         field = self.field
-        reduce = field.reduce
         plan = poset.convolution_plan
         ends = [(poset.index(x), poset.index(y)) for x, y in poset.basis_pairs]
         d_inv = [c.inverse().value for c in self.coeffs[:n]]
@@ -175,8 +172,8 @@ class FIElement:
             if not any(term):
                 break
             acc = [s + t for s, t in zip(acc, term)]
-        return FIElement(poset, self.field,
-                         [reduce(s * d_inv[y]) for s, (_, y) in zip(acc, ends)])
+        return FIElement._of_values(poset, field, [
+            field.canonical(s * d_inv[y]) for s, (_, y) in zip(acc, ends)])
 
     def is_idempotent(self) -> bool:
         return self * self == self
@@ -223,6 +220,8 @@ def jordan_product(a: FIElement, b: FIElement) -> FIElement:
 
 
 _TERM_RE = re.compile(r"^(?:(?P<scalar>[^*\s]+)\s*\*\s*)?e\[(?P<pair>[^\]]*)\]$")
+# terms end in e[...]: a + after a ] separates two, a sign or 1e+3 does not
+_TERM_SEP = re.compile(r"(?<=\])\s*\+")
 
 
 def parse_element(text: str, poset: Poset, field: Field) -> FIElement:
@@ -231,7 +230,7 @@ def parse_element(text: str, poset: Poset, field: Field) -> FIElement:
     if text == "0":
         return FIElement.zero(poset, field)
     coeffs = [field.zero] * poset.dimension
-    for raw_term in text.split("+"):
+    for raw_term in _TERM_SEP.split(text):
         term = raw_term.strip()
         m = _TERM_RE.match(term)
         if not m:

@@ -6,7 +6,7 @@ No floating point is used anywhere: ``Field.scalar`` refuses floats.
 
 ``Scalar`` is the type at every API boundary, and its operators serve the
 code that is not hot. A ``LinearMap`` holds canonical values; its ``rows``
-box them on read. The hot code (``LinearMap.apply``, convolution,
+box them on read. The hot code (``LinearMap.apply``, the element product,
 ``FIElement.inverse``, ``LinearMap.rank``, the subset table and the pattern
 scans) accumulates a plain ``int`` (a ``Fraction`` over Q) and reduces it
 once by ``Field.canonical``, or by ``Field.reduce`` to a ``Scalar``. Three
@@ -14,22 +14,23 @@ sums recur, and each field owns them as value kernels that reduce each
 output coordinate once: ``Field.row_sums`` (each row over the diagonal
 columns: ``is_unital`` and the ``PreserverSpec`` check), ``Field.matvec``
 (a matrix times a sparse vector: ``LinearMap.apply``) and
-``Field.convolve`` (two value vectors over ``convolution_plan``: the
+``Field.convolve`` (two value vectors over ``convolution_plan``: every
+``FIElement`` product, so the Jordan scan's and the suites' products, the
 nilpotent series of ``FIElement.inverse``, the inverse scan and the
 reduction phi(delta)^-1 phi of ``analyze_map``). Over F_p a kernel is the
-plain ``sum(...) % p``. Over Q it keeps an integer numerator over a running
-denominator, the lcm of the term denominators: a term whose denominator t
-differs from it multiplies in only the new part, t // gcd(den, t). It
-builds one ``Fraction`` per output, so it pays one gcd per coordinate and
-one per change of denominator, where ``Fraction`` arithmetic pays one per
-add and per multiply. Over Q the
-row sums are ``matvec`` against delta; F_p keeps its one-line sum, which
-the census measures per survivor. Over F_2 the
-subset table, the strongness scan and the rank need no reduction at all:
-they read the diagonal block's columns (the matrix's rows, for the rank) as
-bitmasks and combine them by XOR. Over any other field a block has a subset
-table only when it is 0/1 with at most one 1 per row; its columns are then
-pairwise disjoint, and the table is their XOR span too.
+plain ``sum(...) % p``. Over Q it lists an output's terms as (numerator,
+denominator) pairs and sums them by ``_lcm_sum``, the one rational sum
+rule: an integer numerator over a running denominator, the lcm of the term
+denominators, and one ``Fraction`` per output. It pays one gcd per
+coordinate and one per change of denominator, where ``Fraction`` arithmetic
+pays one per add and per multiply. Over Q the row sums are ``matvec``
+against delta; F_p keeps its one-line sum, which the census measures per
+survivor. Over F_2 the subset table, the strongness scan and the rank need
+no reduction at all: they read the diagonal block's columns (the matrix's
+rows, for the rank) as bitmasks and combine them by XOR. Over any other
+field a block has a subset table only when it is 0/1 with at most one 1 per
+row; its columns are then pairwise disjoint, and the table is their XOR
+span too.
 ``Field.canonical`` is the one reduction rule of each field: the ``Scalar``
 operators reduce through it too, by ``Field.reduce``. Checks run in two
 places. Each binary ``Scalar`` operator checks that its operand is a
@@ -239,46 +240,26 @@ class Rationals(Field):
         # a sum over no terms is the int 0; Fraction(Fraction) would be slow
         return value if type(value) is Fraction else Fraction(value)
 
-    # The kernels sum each output as an integer numerator over a running
-    # denominator (see the module docstring); an empty sum is 0. ``int``
-    # values pass too: ``as_integer_ratio`` reads both types.
+    # Each kernel lists an output's nonzero terms as (numerator, denominator)
+    # pairs for ``_lcm_sum``; ``int`` values have both attributes too.
 
     def matvec(self, rows, support) -> list[Fraction]:
-        terms = [(j, *v.as_integer_ratio()) for j, v in support]
+        terms = [(j, v.numerator, v.denominator) for j, v in support]
         out = []
         for row in rows:
-            num, den = 0, 1
+            products = []
             for j, vn, vd in terms:
-                cn, cd = row[j].as_integer_ratio()
-                if cn:
-                    if (t := cd * vd) == den:
-                        num += cn * vn
-                    else:
-                        g = gcd(den, t)
-                        num = num * (t // g) + cn * vn * (den // g)
-                        den *= t // g
-            out.append(Fraction(num) if den == 1 else Fraction(num, den))
+                c = row[j]
+                if c:
+                    products.append((c.numerator * vn, c.denominator * vd))
+            out.append(_lcm_sum(products))
         return out
 
     def convolve(self, plan, a, b) -> list[Fraction]:
-        a = [v.as_integer_ratio() for v in a]
-        b = [v.as_integer_ratio() for v in b]
-        out = []
-        for terms in plan:
-            num, den = 0, 1
-            for i, j in terms:
-                an, ad = a[i]
-                if an:
-                    bn, bd = b[j]
-                    if bn:
-                        if (t := ad * bd) == den:
-                            num += an * bn
-                        else:
-                            g = gcd(den, t)
-                            num = num * (t // g) + an * bn * (den // g)
-                            den *= t // g
-            out.append(Fraction(num) if den == 1 else Fraction(num, den))
-        return out
+        an, ad = [v.numerator for v in a], [v.denominator for v in a]
+        bn, bd = [v.numerator for v in b], [v.denominator for v in b]
+        return [_lcm_sum([(an[i] * bn[j], ad[i] * bd[j]) for i, j in terms if an[i] and bn[j]])
+                for terms in plan]
 
     def elements(self) -> list["Scalar"]:
         raise InfiniteFieldError("cannot enumerate an infinite field")
@@ -304,6 +285,21 @@ class Rationals(Field):
 
     def __repr__(self) -> str:
         return "Q"
+
+
+def _lcm_sum(products) -> Fraction:
+    """The sum of the pairs ``(num, den)``, ``den > 0``, as one ``Fraction``:
+    a term whose den differs from the running denominator multiplies in only
+    the new part, so that denominator is the lcm of the dens. Empty: 0."""
+    num, den = 0, 1
+    for n, t in products:
+        if t == den:
+            num += n
+        else:
+            g = gcd(den, t)
+            num = num * (t // g) + n * (den // g)
+            den *= t // g
+    return Fraction(num) if den == 1 else Fraction(num, den)
 
 
 def _exact(value, field: Field) -> int | Fraction:

@@ -510,7 +510,7 @@ def find_jordan_counterexample(phi: LinearMap) -> tuple[FIElement, FIElement] | 
 
     def image(k: int) -> FIElement:
         if k not in images:
-            images[k] = FIElement(poset, field, [Scalar(field, v) for v in columns[k]])
+            images[k] = FIElement._of_values(poset, field, columns[k])
         return images[k]
 
     for i, (x, y) in enumerate(pairs):

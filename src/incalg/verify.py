@@ -906,11 +906,10 @@ def analyze_map(phi: LinearMap, gate_override: bool = False) -> dict:
         delta = FIElement.delta(poset, field)
         u = phi.apply(delta)
         if u.is_unit():
-            plan, values = poset.convolution_plan, [c.value for c in u.coeffs]
-            u_inv = [c.value for c in u.inverse().coeffs]
+            plan, u_inv = poset.convolution_plan, [c.value for c in u.inverse().coeffs]
             psi = LinearMap._of_values(poset, field, tuple(zip(*(
                 field.convolve(plan, u_inv, column) for column in zip(*phi.values)))))
-            involutive = field.convolve(plan, values, values) == [c.value for c in delta.coeffs]
+            involutive = u * u == delta
             about = "phi(delta)^-1 phi: "
         else:
             verdicts["preserver"] = False

@@ -251,6 +251,15 @@ def test_element_literal_errors():
     with pytest.raises(ParseError):
         parse_element("e(1)", CHAIN2, F3)
     assert parse_element("e[1] + 2*e[1]", CHAIN2, F3) == parse_element("0*e[1]", CHAIN2, F3)
+    # terms split only at a + after a term's closing ]: a scalar keeps its
+    # sign and the + of its exponent
+    assert parse_element("1e+3*e[1] + 1*e[1,2]", CHAIN2, Q) == FIElement.from_dict(
+        CHAIN2, Q, {("1", "1"): 1000, ("1", "2"): 1})
+    assert parse_element("+2*e[1]", CHAIN2, F3) == FIElement.from_dict(
+        CHAIN2, F3, {("1", "1"): 2})
+    for text in ("1*e[1] +", "+", "1*e[1] 2*e[2]"):
+        with pytest.raises(ParseError):
+            parse_element(text, CHAIN2, F3)
 
 
 def test_rational_coefficients_format():

@@ -6,11 +6,13 @@ from hypothesis import given, strategies as st
 
 from incalg import (
     FieldMismatchError,
+    FIElement,
     IncalgError,
     InfiniteFieldError,
     ParseError,
     PrimeField,
     ScalarError,
+    builtin_poset,
     format_field,
     parse_field,
     parse_linear_map,
@@ -359,7 +361,9 @@ def test_rational_kernels_keep_one_running_denominator():
 def test_rational_kernels_keep_the_lcm_of_the_term_denominators(monkeypatch):
     """A term whose denominator differs from the running one multiplies in
     only its new part: twelve terms over 2, 3, 5, 2, 3, 5, ... hand
-    ``Fraction`` a denominator dividing their lcm 30, not 30^4."""
+    ``Fraction`` a denominator dividing their lcm 30, not 30^4. The element
+    product runs on the same kernel: on chain:12, a's first row times b's
+    last column is one coordinate with these twelve terms."""
     seen = []
 
     class Recording(Fraction):
@@ -367,12 +371,22 @@ def test_rational_kernels_keep_the_lcm_of_the_term_denominators(monkeypatch):
             seen.append(denominator or 1)
             return Fraction(numerator, denominator)
 
-    monkeypatch.setattr(fields, "Fraction", Recording)
     parts = [Fraction(1, 2), Fraction(1, 3), Fraction(1, 5)] * 4
     total = Fraction(62, 15)
+    chain = builtin_poset("chain:12")
+    first, last = chain.elements[0], chain.elements[-1]
+    a = FIElement.from_dict(chain, Q, dict(zip([(first, x) for x in chain.elements], parts)))
+    b = FIElement.from_dict(chain, Q, {(x, last): 1 for x in chain.elements})
+    monkeypatch.setattr(fields, "Fraction", Recording)
     assert Q.matvec([parts], [(j, 1) for j in range(12)]) == [total]
     assert Q.convolve([[(j, j) for j in range(12)]], parts, [1] * 12) == [total]
     # term denominators 6, 15, 10, ...: their lcm is 30 too
     assert Q.convolve([[(j, j) for j in range(12)]], parts, parts[1:] + parts[:1]) == [
         4 * (Fraction(1, 6) + Fraction(1, 15) + Fraction(1, 10))]
+    # a zero factor adds no term, so its partner's denominator 7 never enters
+    assert Q.matvec([[0, 1]], [(0, Fraction(1, 7)), (1, 1)]) == [1]
+    assert Q.convolve([[(0, 0), (1, 1)]], [0, 1], [Fraction(1, 7), 1]) == [1]
     assert seen and all(30 % den == 0 for den in seen)
+    seen.clear()
+    assert (a * b).coeff(first, last).value == total
+    assert 30 in seen and all(30 % den == 0 for den in seen)

@@ -233,9 +233,10 @@ def _holds_canonical_values(a: FIElement) -> bool:
 
 @pytest.mark.parametrize("field", [F2, F3, F5, Q], ids=str)
 def test_unchecked_elements_hold_canonical_values(field):
-    """``apply``, ``delta`` and every pattern witness box values that the
-    library computed, without the constructor's check: each coefficient is
-    still a ``Fraction`` over Q and an int in range(p) over Fp."""
+    """``apply``, ``delta``, products, inverses and every pattern witness
+    box values that the library computed, without the constructor's check:
+    each coefficient is still a ``Fraction`` over Q and an int in range(p)
+    over Fp."""
     rng = random.Random(5)
     d = CHAIN3.dimension
 
@@ -249,6 +250,11 @@ def test_unchecked_elements_hold_canonical_values(field):
         a = FIElement.from_vector(CHAIN3, field, [value() for _ in range(d)])
         assert _holds_canonical_values(phi.apply(a))
         assert _holds_canonical_values(phi.apply(delta))
+        b = FIElement.from_vector(CHAIN3, field, [value() for _ in range(d)])
+        assert _holds_canonical_values(a * b) and _holds_canonical_values(a * a)
+        unit = FIElement.from_vector(
+            CHAIN3, field, [value() or 1 if k < CHAIN3.n else value() for k in range(d)])
+        assert _holds_canonical_values(unit.inverse())
     images = [(0b011, 0b100, 0b000), (0b001, 0b010, 0b100), (0b111, 0b000, 0b000)]
     witnesses = [_first_full_pattern(CHAIN3, field, im) for im in images]
     if field != Q:
