@@ -21,12 +21,12 @@ reduction phi(delta)^-1 phi of ``analyze_map``). Over F_p a kernel is the
 plain ``sum(...) % p``. Over Q it lists an output's terms as (numerator,
 denominator) pairs and sums them by ``_lcm_sum``, the one rational sum
 rule: an integer numerator over a running denominator, the lcm of the term
-denominators, and one ``Fraction`` per output. It pays one gcd per
-coordinate and one per change of denominator, where ``Fraction`` arithmetic
-pays one per add and per multiply. Over Q the row sums are ``matvec``
-against delta; F_p keeps its one-line sum, which the census measures per
-survivor. Over F_2 the subset table, the strongness scan and the rank need
-no reduction at all: they read the diagonal block's columns (the matrix's
+denominators, and one ``Fraction`` per output; an output with no terms
+gets one shared ``Fraction(0)``. It pays one gcd per coordinate and one per
+change of denominator, where ``Fraction`` arithmetic pays one per add and
+per multiply. Over Q the row sums are ``matvec`` against delta; F_p keeps
+its one-line sum, which the census measures per survivor. Over F_2 the
+subset table, the strongness scan and the rank need no reduction at all: they read the diagonal block's columns (the matrix's
 rows, for the rank) as bitmasks and combine them by XOR. Over any other
 field a block has a subset table only when it is 0/1 with at most one 1 per
 row; its columns are then pairwise disjoint, and the table is their XOR
@@ -58,6 +58,9 @@ MAX_PRIME = 2**31 - 1
 _INTEGER = re.compile(r"[+-]?[0-9]+")
 _RATIONAL = re.compile(
     r"[+-]?(?:[0-9]+/0*[1-9][0-9]*|(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?)")
+
+# the value of every empty rational sum; a Fraction is immutable, so one serves
+_ZERO = Fraction(0)
 
 
 def _is_prime(p: int) -> bool:
@@ -290,7 +293,10 @@ class Rationals(Field):
 def _lcm_sum(products) -> Fraction:
     """The sum of the pairs ``(num, den)``, ``den > 0``, as one ``Fraction``:
     a term whose den differs from the running denominator multiplies in only
-    the new part, so that denominator is the lcm of the dens. Empty: 0."""
+    the new part, so that denominator is the lcm of the dens. Empty: the
+    shared zero."""
+    if not products:
+        return _ZERO
     num, den = 0, 1
     for n, t in products:
         if t == den:

@@ -27,6 +27,7 @@ class Poset:
     def __init__(self, elements: Sequence[str], leq: Sequence[Sequence[bool]],
                  name: str | None = None):
         self.elements: tuple[str, ...] = tuple(elements)
+        self.n = len(self.elements)
         self.leq: tuple[tuple[bool, ...], ...] = tuple(tuple(map(bool, row)) for row in leq)
         self.name = name
         self._index = {x: i for i, x in enumerate(self.elements)}
@@ -88,10 +89,6 @@ class Poset:
                         if row_k[j]:
                             row_i[j] = True
         return cls(elements, leq, name=name)
-
-    @property
-    def n(self) -> int:
-        return len(self.elements)
 
     def index(self, label: str) -> int:
         try:

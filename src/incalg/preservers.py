@@ -228,6 +228,16 @@ class PreserverSpec:
         if any(self.field.row_sums(values[n:], n)):
             raise MismatchError("psi must annihilate delta")
 
+    @classmethod
+    def _of_parts(cls, poset: Poset, field: Field, endo: PartitionEndo | XorEndo,
+                  radical_map: LinearMap) -> "PreserverSpec":
+        """A normal form of parts the library derived itself, boxed
+        unchecked: ``classify`` takes them from a map it found unital, the
+        census from rows its filter admitted."""
+        spec = object.__new__(cls)
+        spec.__dict__.update(poset=poset, field=field, endo=endo, radical_map=radical_map)
+        return spec
+
 
 def build_preserver(spec: PreserverSpec) -> LinearMap:
     """Assemble the matrix of the preserver described by a normal form.
@@ -490,41 +500,50 @@ def find_jordan_counterexample(phi: LinearMap) -> tuple[FIElement, FIElement] | 
     so phi(ab + ba) is one column of the matrix, or twice column a when
     a = b is diagonal (the only case where both brackets hold). The right
     side is zero unless the images compose: phi(a)phi(b) needs an element
-    that ends a support pair of phi(a) and starts one of phi(b), and the
-    column supports give these start and end elements as masks. Only pairs
-    whose images compose in some order are multiplied, as the Jordan
-    product of the images, each boxed from its column on first use.
+    that ends a support pair of phi(a) and starts one of phi(b), and each
+    column's support gives these start and end elements as masks, read on
+    the column's first use. Only pairs whose images compose in some order
+    are multiplied, as the Jordan product of the images, each boxed from
+    its column on first use.
     """
     poset, field = phi.poset, phi.field
     pairs, index = poset.basis_pairs, poset.pair_index
+    canonical = field.canonical
     columns = list(zip(*phi.values))
     zero = (0,) * len(pairs)
     bit = {x: 1 << k for k, x in enumerate(poset.elements)}
-    starts, ends = [0] * len(pairs), [0] * len(pairs)
-    for k, column in enumerate(columns):
-        for (s, t), v in zip(pairs, column):
-            if v:
-                starts[k] |= bit[s]
-                ends[k] |= bit[t]
     images: dict[int, FIElement] = {}
+    masks: dict[int, tuple[int, int]] = {}
 
     def image(k: int) -> FIElement:
         if k not in images:
             images[k] = FIElement._of_values(poset, field, columns[k])
         return images[k]
 
+    def support(k: int) -> tuple[int, int]:
+        if k not in masks:
+            starts = ends = 0
+            for (s, t), v in zip(pairs, columns[k]):
+                if v:
+                    starts |= bit[s]
+                    ends |= bit[t]
+            masks[k] = starts, ends
+        return masks[k]
+
     for i, (x, y) in enumerate(pairs):
+        starts_i, ends_i = support(i)
         for j in range(i, len(pairs)):
             z, w = pairs[j]
             if y == z and w == x:
-                lhs = tuple(field.matvec(phi.values, [(i, 2)]))
+                lhs = tuple([canonical(2 * c) if c else c for c in columns[i]])
             elif y == z:
                 lhs = columns[index[(x, w)]]
             elif w == x:
                 lhs = columns[index[(z, y)]]
             else:
                 lhs = zero
-            if ends[i] & starts[j] or ends[j] & starts[i]:
+            starts_j, ends_j = support(j)
+            if ends_i & starts_j or ends_j & starts_i:
                 rhs = tuple(c.value for c in jordan_product(image(i), image(j)).coeffs)
             else:
                 rhs = zero

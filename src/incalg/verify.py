@@ -202,7 +202,7 @@ def classify(phi: LinearMap) -> PreserverSpec:
             raise ClassificationError(
                 "lb-separating", "extracted subset map is not separating")
         endo = to_partition(table)
-    spec = PreserverSpec(phi.poset, phi.field, endo, extract_radical_map(phi))
+    spec = PreserverSpec._of_parts(phi.poset, phi.field, endo, extract_radical_map(phi))
     rebuilt = build_preserver(spec)
     if rebuilt != phi:
         law = "inv-pres-over-Z_2" if phi.field.cardinality == 2 else "inv-pres-for-|K|>2"
@@ -345,7 +345,7 @@ def enumerate_preservers(poset: Poset, field: PrimeField, start: int = 0,
             spec = classify(phi)
             strong = is_strong(phi, gate_override=gate_override)
         else:
-            spec = PreserverSpec(poset, field, spec.endo, extract_radical_map(phi))
+            spec = PreserverSpec._of_parts(poset, field, spec.endo, extract_radical_map(phi))
         records.append(MapRecord(
             index=index,
             matrix=rows,
@@ -565,9 +565,11 @@ def verify_lemma_suite(poset: Poset, field: PrimeField,
     if not isinstance(field, PrimeField):
         raise InfiniteFieldError("the lemma suite enumerates field elements; "
                                  "use a prime field")
-    if sample == "randomized" and trials < 1:
-        raise IncalgError(f"the randomized lemma suite needs at least one trial, "
-                          f"got {trials}")
+    if sample == "randomized":
+        if trials < 1:
+            raise IncalgError(f"the randomized lemma suite needs at least one trial, "
+                              f"got {trials}")
+        _gate(trials, "the randomized lemma suite", gate_override)
     n = poset.n
     _gate(_partition_count(n, min(field.p, n)), "the partition law union-lb(L_k(f))=X",
           gate_override)

@@ -243,6 +243,29 @@ def test_lemmas_randomized_without_trials_exits_two(capsys):
                                 f"one trial, got {trials}\n")
 
 
+def test_lemmas_randomized_gates_its_trial_count(capsys, monkeypatch):
+    """More trials than ``SCAN_CAP`` exit 2 with the gate message before a
+    trial runs; ``--gate-override`` lifts the gate."""
+    from incalg import preservers
+
+    trials = preservers.SCAN_CAP + 1
+    code = main(["lemmas", "--poset", "chain:2", "--field", "Fp", "3",
+                 "--sample", "randomized", "--trials", str(trials)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == (f"error: the randomized lemma suite would scan {trials} "
+                            f"cases (cap {preservers.SCAN_CAP})\n")
+    monkeypatch.setattr(preservers, "SCAN_CAP", 3)
+    argv = ["lemmas", "--poset", "chain:2", "--field", "Fp", "3",
+            "--sample", "randomized", "--trials", "4"]
+    assert main(argv) == 2
+    assert "randomized lemma suite would scan 4 cases (cap 3)" in capsys.readouterr().err
+    code, out = run(capsys, *argv, "--gate-override")
+    assert code == 0
+    assert "random spec #3" in out and ", 0 failed" in out
+
+
 def test_check_reads_a_map_over_a_dual_poset(tmp_path, capsys):
     """A map over ``builtin_poset("v").dual()`` is written with the poset
     ``dual(v)``, which the CLI resolves."""

@@ -36,6 +36,7 @@ from incalg import (
     build_preserver,
     builtin_poset,
     classify,
+    enumerate_preservers,
     extract_subset_map,
     random_preserver_spec,
     to_xor_endo,
@@ -366,6 +367,30 @@ def test_spec_checks_match_boxed_reference(instance):
                 == mismatch(boxed_spec_checks, poset, field, spec.endo, psi))
 
 
+@given(instances(RING_FIELDS))
+def test_classified_specs_pass_the_spec_checks(instance):
+    """``classify`` boxes the normal form it derives without the
+    constructor's checks; each spec it accepts still passes all of them."""
+    poset, field, kind, rng = instance
+    for phi in perturbed_maps(random_map(poset, field, kind, rng), rng):
+        try:
+            spec = classify(phi)
+        except ClassificationError:
+            continue
+        assert boxed_spec_checks(poset, field, spec.endo, spec.radical_map) is None
+        assert spec == PreserverSpec(poset, field, spec.endo, spec.radical_map)
+
+
+@pytest.mark.parametrize("name, field", [("chain:2", F3), ("antichain:3", F3), ("v", F2)])
+def test_census_specs_pass_the_spec_checks(name, field):
+    """The census boxes each survivor's spec unchecked, from rows its unital
+    filter admitted; every one passes the constructor's checks."""
+    poset = builtin_poset(name)
+    for record in enumerate_preservers(poset, field).records:
+        spec = record.spec
+        assert boxed_spec_checks(poset, field, spec.endo, spec.radical_map) is None
+
+
 def test_unital_and_spec_cases_reach_every_branch():
     """The generators produce unital and non-unital maps, and radical maps
     passing each check and failing each of the two radical-map checks."""
@@ -634,7 +659,8 @@ def test_jordan_cases_reach_every_outcome():
     """Jordan automorphisms pass; changed ones, perturbed preservers and
     non-unital maps fail, some at a pair of distinct basis elements, and,
     on a prime field and on Q, some at a pair whose images do not compose
-    (the right side is zero unmultiplied) and some at a multiplied pair."""
+    (the right side is zero unmultiplied), some at a multiplied pair, and
+    some at a = b diagonal, where the left side is one column doubled."""
     rng = random.Random(0)
     seen = set()
     for field in RING_FIELDS:
@@ -647,10 +673,13 @@ def test_jordan_cases_reach_every_outcome():
                         seen.add((field == Q, images_compose(phi, *pair)))
                         if pair[0] != pair[1]:
                             seen.add("distinct pair")
+                        elif any(pair[0].coeffs[:poset.n]):
+                            seen.add((field == Q, "diagonal pair"))
     assert {("jordan", True), ("jordan-changed", False), ("preserver", True),
             ("preserver", False), ("perturbed", False), ("non-unital", False),
             "distinct pair"} <= seen
     assert {(False, False), (False, True), (True, False), (True, True)} <= seen
+    assert {(False, "diagonal pair"), (True, "diagonal pair")} <= seen
     assert ("jordan", False) not in seen
 
 

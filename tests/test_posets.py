@@ -158,13 +158,19 @@ def test_algebra_size_gate():
 
 def test_oversized_references_are_refused_before_they_are_built():
     """A builtin size is read from its digits and a poset file's size from
-    its ``elements:`` line, before any label or order is built; a size too
-    long to print is shortened."""
+    its ``elements:`` line, before any label or order is built; a size of
+    more than 24 digits is shortened."""
     with pytest.raises(GateError, match=r": 17 elements > cap 16$") as info:
         builtin_poset("antichain:017")
     assert info.value.size == 17
     with pytest.raises(GateError, match=r": 99999999 elements > cap 16$"):
         builtin_poset("chain:99999999")
+    with pytest.raises(GateError, match=r": 9{24} elements > cap 16$") as info:
+        builtin_poset("chain:" + "9" * 24)
+    assert info.value.size == int("9" * 24)
+    with pytest.raises(GateError, match=r": 9{20}\.\.\. elements > cap 16$") as info:
+        builtin_poset("chain:" + "9" * 25)
+    assert info.value.size is None
     with pytest.raises(GateError, match=r": 7{20}\.\.\. elements > cap 16$") as info:
         builtin_poset("chain:" + "7" * 5000)
     assert info.value.size is None
@@ -211,3 +217,15 @@ def test_parse_errors_carry_line_numbers():
         parse_poset("poset\nelements: a b\nrelations: a*b\n")
     with pytest.raises(ParseError, match="relations"):
         parse_poset("poset\nelements: a b\n")
+
+
+def test_size_attribute_counts_the_elements(tmp_path):
+    """``Poset.n`` is set once at construction; it stays the element count
+    for builtin posets, posets read from a file and their duals."""
+    path = tmp_path / "p.txt"
+    path.write_text("poset\nelements: a b c d e\nrelations: a<b c<d\n")
+    posets = [builtin_poset(name) for name in ("chain:1", "antichain:4", "v", "diamond")]
+    posets += [resolve_poset(str(path)), parse_poset(format_poset(mixed_poset()))]
+    for poset in posets + [p.dual() for p in posets]:
+        assert poset.n == len(poset.elements)
+    assert [p.n for p in posets] == [1, 4, 3, 4, 5, 6]

@@ -236,15 +236,25 @@ def test_unchecked_elements_hold_canonical_values(field):
     """``apply``, ``delta``, products, inverses and every pattern witness
     box values that the library computed, without the constructor's check:
     each coefficient is still a ``Fraction`` over Q and an int in range(p)
-    over Fp."""
+    over Fp. So is every output of the kernels that is an empty sum: a
+    product of elements on disjoint supports, and the image of an element
+    under a map that is zero on its support."""
     rng = random.Random(5)
     d = CHAIN3.dimension
+    kind = Fraction if field == Q else int
 
     def value():
         return random_rational(rng) if field == Q else rng.randrange(field.p)
 
     delta = FIElement.delta(CHAIN3, field)
     assert _holds_canonical_values(delta)
+    e00, e11 = ([field.canonical(int(k == x)) for k in range(d)] for x in (0, 1))
+    for a, b in ((e11, e00), (e00, e11)):
+        product_values = field.convolve(CHAIN3.convolution_plan, a, b)
+        assert not any(product_values) and all(type(v) is kind for v in product_values)
+    rows = [[0] + [field.canonical(value()) for _ in range(d - 1)] for _ in range(d)]
+    image_values = field.matvec(rows, [(0, field.canonical(1))])
+    assert not any(image_values) and all(type(v) is kind for v in image_values)
     for _ in range(20):
         phi = LinearMap.from_rows(CHAIN3, field, [[value() for _ in range(d)] for _ in range(d)])
         a = FIElement.from_vector(CHAIN3, field, [value() for _ in range(d)])

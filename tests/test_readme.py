@@ -90,6 +90,7 @@ def test_gate_table_states_the_caps():
         ("inverse-preservation scan", f"`(q-1)^n q^(d-n) <= {scan}` units"),
         ("idempotent scan", f"`q^d <= {scan}`"),
         ("lemma partition law", f"`<= {scan}` partitions into `<= q` blocks"),
+        ("randomized lemma suite", f"`trials <= {scan}`"),
         ("census", f"`q^(d^2) <= {power_of_ten(CENSUS_SPACE_CAP)}`, and `(q-1)^n`, "
                    f"`q^n <= {scan}` for the per-survivor scans"),
     ]

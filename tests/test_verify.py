@@ -42,7 +42,7 @@ from incalg import (
 )
 
 from incalg.algebra import basis_element, format_element
-from incalg.preservers import iter_idempotents
+from incalg.preservers import SCAN_CAP, iter_idempotents
 from incalg.verify import CENSUS_SPACE_CAP, _idempotent_laws
 
 from boxed_reference import plain_record_json
@@ -498,6 +498,31 @@ def test_lemma_suite_randomized_needs_a_trial(trials):
         verify_lemma_suite(CHAIN2, F3, sample="randomized", trials=trials)
     # the exhaustive suite ignores the trial count
     assert verify_lemma_suite(CHAIN2, F2, trials=trials)
+
+
+def test_lemma_suite_randomized_gates_its_trial_count(monkeypatch):
+    """Each trial builds and keeps a preserver and its verdicts, so the
+    trial count is gated like every scan: past ``SCAN_CAP`` it is refused
+    before a normal form is drawn, and ``gate_override`` lifts the gate."""
+    from incalg import preservers, verify
+
+    def refuse(*args):
+        raise AssertionError("a trial was drawn before the gate")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(verify, "random_preserver_spec", refuse)
+        with pytest.raises(GateError) as info:
+            verify_lemma_suite(CHAIN2, F3, sample="randomized", trials=SCAN_CAP + 1)
+    assert info.value.size == SCAN_CAP + 1
+    assert str(info.value) == (f"the randomized lemma suite would scan {SCAN_CAP + 1} "
+                               f"cases (cap {SCAN_CAP})")
+    monkeypatch.setattr(preservers, "SCAN_CAP", 3)
+    with pytest.raises(GateError, match="randomized lemma suite"):
+        verify_lemma_suite(CHAIN2, F3, sample="randomized", trials=4)
+    verdicts = verify_lemma_suite(CHAIN2, F3, sample="randomized", trials=4,
+                                  gate_override=True)
+    assert len({v.instance for v in verdicts}) == 4
+    assert all(v.passed for v in verdicts)
 
 
 def test_criteria_identity_spec():
