@@ -6,6 +6,8 @@ field's kernel ``Field.convolve``. Coefficients are ``Scalar``s of the
 element's field, checked by the public constructors; products, inverses
 and every other element the library computes run on plain values, reduce
 each output coordinate once, and are boxed unchecked by ``_of_values``.
+A sum or difference makes a new ``Scalar`` only where both coefficients
+are nonzero.
 Inversion uses the nilpotency of the strict-triangular part instead of
 elimination: with ``a = d(1 + nu)``, ``d`` the diagonal part and
 ``nu = d^{-1} a_J``, the inverse is ``(sum_{k<c} (-nu)^k) d^{-1}`` where
@@ -106,12 +108,13 @@ class FIElement:
     def __add__(self, other: "FIElement") -> "FIElement":
         self._check_compat(other)
         return FIElement(self.poset, self.field,
-                         [a + b for a, b in zip(self.coeffs, other.coeffs)])
+                         [a + b if a and b else a or b for a, b in zip(self.coeffs, other.coeffs)])
 
     def __sub__(self, other: "FIElement") -> "FIElement":
         self._check_compat(other)
         return FIElement(self.poset, self.field,
-                         [a - b for a, b in zip(self.coeffs, other.coeffs)])
+                         [a - b if a and b else -b if b else a
+                          for a, b in zip(self.coeffs, other.coeffs)])
 
     def __neg__(self) -> "FIElement":
         return FIElement(self.poset, self.field, [-a for a in self.coeffs])
@@ -215,7 +218,10 @@ def indicator(poset: Poset, field: Field, subset: Iterable[str]) -> FIElement:
 
 
 def jordan_product(a: FIElement, b: FIElement) -> FIElement:
-    """ab + ba."""
+    """ab + ba; the square a^2 + a^2 when ``a is b``, from one product."""
+    if a is b:
+        square = a * a
+        return square + square
     return a * b + b * a
 
 

@@ -21,10 +21,10 @@ reduction phi(delta)^-1 phi of ``analyze_map``). Over F_p a kernel is the
 plain ``sum(...) % p``. Over Q it lists an output's terms as (numerator,
 denominator) pairs and sums them by ``_lcm_sum``, the one rational sum
 rule: an integer numerator over a running denominator, the lcm of the term
-denominators, and one ``Fraction`` per output; an output with no terms
-gets one shared ``Fraction(0)``. It pays one gcd per coordinate and one per
-change of denominator, where ``Fraction`` arithmetic pays one per add and
-per multiply. Over Q the row sums are ``matvec`` against delta; F_p keeps
+denominators, and one ``Fraction`` per output; every output worth 0 is one
+shared ``Fraction(0)``. It pays one gcd per coordinate and one per change
+of denominator, where ``Fraction`` arithmetic pays one per add and per
+multiply. Over Q the row sums are ``matvec`` against delta; F_p keeps
 its one-line sum, which the census measures per survivor. Over F_2 the
 subset table, the strongness scan and the rank need no reduction at all: they read the diagonal block's columns (the matrix's
 rows, for the rank) as bitmasks and combine them by XOR. Over any other
@@ -59,7 +59,7 @@ _INTEGER = re.compile(r"[+-]?[0-9]+")
 _RATIONAL = re.compile(
     r"[+-]?(?:[0-9]+/0*[1-9][0-9]*|(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?)")
 
-# the value of every empty rational sum; a Fraction is immutable, so one serves
+# the value of every rational sum worth 0; a Fraction is immutable, so one serves
 _ZERO = Fraction(0)
 
 
@@ -293,10 +293,8 @@ class Rationals(Field):
 def _lcm_sum(products) -> Fraction:
     """The sum of the pairs ``(num, den)``, ``den > 0``, as one ``Fraction``:
     a term whose den differs from the running denominator multiplies in only
-    the new part, so that denominator is the lcm of the dens. Empty: the
-    shared zero."""
-    if not products:
-        return _ZERO
+    the new part, so that denominator is the lcm of the dens. A sum worth 0,
+    empty or not, is the shared zero."""
     num, den = 0, 1
     for n, t in products:
         if t == den:
@@ -305,6 +303,8 @@ def _lcm_sum(products) -> Fraction:
             g = gcd(den, t)
             num = num * (t // g) + n * (den // g)
             den *= t // g
+    if not num:
+        return _ZERO
     return Fraction(num) if den == 1 else Fraction(num, den)
 
 

@@ -290,6 +290,15 @@ def _first_full_pattern(poset: Poset, field: Field, images: Sequence[int]) -> FI
     return FIElement._of_values(poset, field, pattern + [z] * (poset.dimension - n))
 
 
+def _first_full_block_pattern(poset: Poset, field: Field,
+                              blocks: Sequence[int]) -> FIElement | None:
+    """``_first_full_pattern`` of a partition's ``blocks`` in closed form:
+    the indicator of the elements whose block is nonempty, or None."""
+    z, o = field.zero.value, field.one.value
+    return None if all(blocks) else FIElement._of_values(
+        poset, field, [o if b else z for b in blocks] + [z] * (poset.dimension - poset.n))
+
+
 def _block_columns(phi: LinearMap) -> tuple[int, ...]:
     """The diagonal block's columns as masks of the rows that hold a 1.
 

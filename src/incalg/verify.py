@@ -63,6 +63,7 @@ from .preservers import (
     preserves_inverses,
     preserves_invertibility,
     psi_to_json,
+    _first_full_block_pattern,
     _first_full_pattern,
     _first_pattern,
     _gate,
@@ -611,11 +612,13 @@ def random_preserver_spec(poset: Poset, field: Field,
     n, d = poset.n, poset.dimension
     m = d - n
 
-    def random_value():
-        if isinstance(field, PrimeField):
+    from fractions import Fraction
+    if isinstance(field, PrimeField):
+        def random_value():
             return rng.randrange(field.p)
-        from fractions import Fraction
-        return Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+    else:
+        def random_value():
+            return Fraction(rng.randint(-9, 9), rng.randint(1, 9))
 
     if field.cardinality == 2:
         endo: PartitionEndo | XorEndo = XorEndo.from_head(
@@ -924,7 +927,9 @@ def analyze_map(phi: LinearMap, gate_override: bool = False) -> dict:
             witnesses["preserver"] = about + str(exc)
         verdicts["preserver"] = spec is not None
     if spec is not None:
-        counter = _first_full_pattern(poset, field, spec.endo.images)
+        first_full = (_first_full_block_pattern if isinstance(spec.endo, PartitionEndo)
+                      else _first_full_pattern)
+        counter = first_full(poset, field, spec.endo.images)
         verdicts["strong"] = counter is None
         if counter is not None:
             witnesses["strong"] = f"non-unit {format_element(counter)} maps to a unit"

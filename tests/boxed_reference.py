@@ -13,9 +13,11 @@ operand, and every pattern of a scan is applied as a whole element.
 and stage (i) of :func:`boxed_find_nonpreserved_unit` apply the map to
 delta, where the library reads row sums off the map's values.
 :func:`boxed_scale` multiplies boxed entries and rebuilds a checked map.
+:func:`boxed_add` and :func:`boxed_sub` add every coefficient pair through
+``Scalar``'s operators, where the library skips a pair with a zero side.
 :func:`boxed_find_jordan_counterexample` scans every ordered basis pair and
 applies the map to each Jordan product, with products through
-:func:`boxed_convolve`; :func:`boxed_is_separating` and
+:func:`boxed_convolve` and sums through :func:`boxed_add`; :func:`boxed_is_separating` and
 :func:`boxed_is_boolean_endo` scan the subset pairs that the library's
 O(n 2^n) checks replace (the library's 4^n gate on those scans is gone, and
 so is its call here). :func:`boxed_span_table` builds a span table entry by
@@ -301,8 +303,18 @@ def boxed_scale(phi, k):
     return LinearMap(phi.poset, phi.field, [[k * c for c in row] for row in phi.rows])
 
 
+def boxed_add(x, y):
+    x._check_compat(y)
+    return FIElement(x.poset, x.field, [a + b for a, b in zip(x.coeffs, y.coeffs)])
+
+
+def boxed_sub(x, y):
+    x._check_compat(y)
+    return FIElement(x.poset, x.field, [a - b for a, b in zip(x.coeffs, y.coeffs)])
+
+
 def _boxed_jordan_product(a, b):
-    return boxed_convolve(a, b) + boxed_convolve(b, a)
+    return boxed_add(boxed_convolve(a, b), boxed_convolve(b, a))
 
 
 def boxed_find_jordan_counterexample(phi):

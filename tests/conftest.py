@@ -78,6 +78,14 @@ def random_rational(rng: random.Random) -> Fraction:
     return Fraction(rng.randint(-BIG, BIG), rng.randint(1, BIG))
 
 
+def holds_canonical_values(a: FIElement) -> bool:
+    """Every coefficient is a ``Fraction`` over Q and an int in range(p)
+    over Fp."""
+    if a.field == Q:
+        return all(type(c.value) is Fraction for c in a.coeffs)
+    return all(type(c.value) is int and 0 <= c.value < a.field.p for c in a.coeffs)
+
+
 def elements_of(poset, field):
     return st.lists(
         scalars(field),

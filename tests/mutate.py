@@ -15,7 +15,8 @@ Sites inside type annotations and f-strings are skipped. It draws a seeded
 sample of ``--count`` mutants, copies the checkout (everything but ``.git``
 and caches) to a temporary directory once, checks that the unmutated suite
 passes there, and, one mutant at a time, writes the mutant there and runs
-the tier-1 suite with ``-x -q`` under a per-mutant timeout. The checkout
+the tier-1 suite with ``-x -q`` under a per-mutant timeout of four times
+that unmutated run's wall time, and at least a minute. The checkout
 itself is never written. Each mutant prints ``killed``, ``survived`` or
 ``timeout`` with ``file:line: before -> after``; a survivor needs a new
 test or an argument that it is equivalent. Standard library only; pytest
@@ -32,10 +33,14 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-TIMEOUT = 300.0   # seconds per suite run; tier-1 takes under a minute
+# a mutant's suite run may take this many times the unmutated run's wall
+# time, and at least MIN_TIMEOUT seconds, before it counts as hanging
+TIMEOUT_FACTOR = 4
+MIN_TIMEOUT = 60.0
 
 COMPARE = {ast.Eq: ("==", "!="), ast.NotEq: ("!=", "=="), ast.Lt: ("<", "<="),
            ast.LtE: ("<=", "<"), ast.Gt: (">", ">="), ast.GtE: (">=", ">"),
@@ -137,13 +142,13 @@ def candidates(source: bytes) -> list[Mutant]:
     return valid
 
 
-def run_suite(copy: Path) -> str:
+def run_suite(copy: Path, timeout: float | None) -> str:
     env = dict(os.environ, PYTHONPATH=str(copy / "src"), PYTHONDONTWRITEBYTECODE="1")
     try:
         proc = subprocess.run(
             [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
              "--continue-on-collection-errors"],
-            cwd=copy, env=env, capture_output=True, timeout=TIMEOUT)
+            cwd=copy, env=env, capture_output=True, timeout=timeout)
     except subprocess.TimeoutExpired:
         return "timeout"
     return "survived" if proc.returncode == 0 else "killed"
@@ -166,12 +171,15 @@ def main(argv: list[str] | None = None) -> int:
             ".git", "__pycache__", ".pytest_cache", ".hypothesis"))
         target = copy / module
         print(f"{len(sample)} of {len(mutants)} candidates, seed {args.seed}", flush=True)
-        if run_suite(copy) != "survived":
+        start = time.perf_counter()
+        if run_suite(copy, None) != "survived":
             print("the unmutated suite fails in the copy; no mutant can be judged")
             return 1
+        timeout = max(MIN_TIMEOUT, TIMEOUT_FACTOR * (time.perf_counter() - start))
+        print(f"unmutated suite passed; {timeout:.0f} s per mutant", flush=True)
         for m in sample:
             target.write_bytes(m.apply(source))
-            verdict = run_suite(copy)
+            verdict = run_suite(copy, timeout)
             target.write_bytes(source)
             tally[verdict] = tally.get(verdict, 0) + 1
             print(f"{verdict:8} {module}:{m.line}: {m.before} -> {m.after}", flush=True)

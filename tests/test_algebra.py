@@ -156,6 +156,22 @@ def test_invert_all_units_of_two_chain(field):
     assert count == (field.p - 1) ** 2 * field.p
 
 
+def test_inverse_series_stops_at_the_chain_bound(monkeypatch):
+    """On chain:4 the unit delta + (all strict pairs) has nu^3 != 0, so its
+    series needs the powers nu, nu^2 and nu^3: three convolutions, and none
+    to learn that nu^4 = 0, which the longest chain of 4 already says."""
+    chain = builtin_poset("chain:4")
+    a = FIElement.from_vector(chain, Q, [1] * chain.dimension)
+    calls = []
+    convolve = type(Q).convolve
+    monkeypatch.setattr(type(Q), "convolve",
+                        lambda self, *args: calls.append(1) or convolve(self, *args))
+    inverse = a.inverse()
+    assert len(calls) == chain.longest_chain - 1 == 3
+    monkeypatch.undo()
+    assert a * inverse == FIElement.delta(chain, Q) == inverse * a
+
+
 def level_set(a, k) -> frozenset[str]:
     """The elements x with diagonal coefficient of ``a`` equal to k."""
     k = a.field.scalar(k)

@@ -297,11 +297,14 @@ def kernel_values(field):
 
 
 def assert_canonical(field, got, expected):
+    """Equal values, canonical; over Q every output worth 0 is the shared
+    zero, whether it had no terms or its terms cancel."""
     assert got == expected
     if isinstance(field, PrimeField):
         assert all(type(v) is int and 0 <= v < field.p for v in got)
     else:
         assert all(type(v) is Fraction for v in got)
+        assert all(v is fields._ZERO for v in got if not v)
 
 
 def reference(field, terms) -> object:
@@ -356,6 +359,18 @@ def test_rational_kernels_keep_one_running_denominator():
         Fraction(5, 4), 0]
     big = Fraction(BIG + 1, BIG)
     assert Q.row_sums([[big, -big, big]], 3) == [big]
+
+
+def test_a_rational_sum_worth_zero_is_the_shared_zero():
+    """A sum with no terms and sums whose terms cancel, over one denominator
+    or several, all return the one module-level ``Fraction(0)``."""
+    half, third = Fraction(1, 2), Fraction(1, 3)
+    for products in ([], [(1, 2), (-1, 2)], [(1, 2), (-2, 3), (1, 6)], [(0, 5)]):
+        assert fields._lcm_sum(products) is fields._ZERO
+    assert fields._lcm_sum([(1, 2), (-1, 3)]) == Fraction(1, 6)
+    assert Q.row_sums([[half, -half, third]], 2)[0] is fields._ZERO
+    assert Q.matvec([[half, third]], [(0, 2), (1, -3)])[0] is fields._ZERO
+    assert Q.convolve([[(0, 1), (1, 0)]], [half, third], [-half, third])[0] is fields._ZERO
 
 
 def test_rational_kernels_keep_the_lcm_of_the_term_denominators(monkeypatch):

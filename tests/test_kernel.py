@@ -1,5 +1,6 @@
 """Differential tests of the value-coded kernels (``LinearMap.apply``,
-``LinearMap.scale``, convolution, ``FIElement.inverse``, the rank routine
+``LinearMap.scale``, convolution, element sums, the Jordan square,
+``FIElement.inverse``, the rank routine
 ``_rank_of_values``, ``extract_subset_map``, ``to_xor_endo``, the two
 diagonal-pattern scans, the Jordan scan read off the matrix columns, the
 lemma laws read off the matrix and the sample's coefficient tuples, and the
@@ -58,6 +59,7 @@ from incalg import verify
 from incalg.verify import _lemma_checks, _psi_radical_block_invertible, _sample_values
 
 from boxed_reference import (
+    boxed_add,
     boxed_apply,
     boxed_convolve,
     boxed_extract_subset_map,
@@ -71,11 +73,13 @@ from boxed_reference import (
     boxed_matrix_rank,
     boxed_scale,
     boxed_spec_checks,
+    boxed_sub,
     boxed_to_xor_endo,
     boxed_unital_reduction,
 )
 from conftest import (
-    F2, F3, F5, POSET_POOL, PRIME_FIELDS, Q, RING_FIELDS, random_rational, random_xor_endo)
+    F2, F3, F5, POSET_POOL, PRIME_FIELDS, Q, RING_FIELDS, holds_canonical_values,
+    random_rational, random_xor_endo)
 
 MAP_KINDS = ["sparse", "zero-one", "unital", "stage-ii", "preserver", "perturbed"]
 SCAN_CAP = 700  # p^n bound for the exhaustive scans, to keep the boxed side fast
@@ -230,6 +234,35 @@ def test_convolution_matches_boxed_reference(instance):
     for a in elements:
         for b in elements:
             assert a * b == boxed_convolve(a, b)
+
+
+@given(instances(RING_FIELDS))
+def test_element_sums_match_boxed_reference(instance):
+    """``+`` and ``-`` box a new scalar only where both coefficients are
+    nonzero and otherwise keep the nonzero side, negated for ``-``: the
+    results equal the boxed sums on pairs with one, both or no zero
+    coefficients and on sums that cancel, and hold canonical values."""
+    poset, field, _, rng = instance
+    elements = [FIElement.zero(poset, field), FIElement.delta(poset, field)] + [
+        random_element(poset, field, rng) for _ in range(3)]
+    elements += [-a for a in elements]
+    for a in elements:
+        for b in elements:
+            for got, expected in ((a + b, boxed_add(a, b)), (a - b, boxed_sub(a, b))):
+                assert got == expected and holds_canonical_values(got)
+
+
+@given(instances(RING_FIELDS))
+def test_jordan_square_matches_boxed_reference(instance):
+    """``jordan_product(a, a)`` forms a^2 once and doubles it; it equals the
+    boxed a^2 + a^2, and so does the product of a with an equal copy."""
+    poset, field, _, rng = instance
+    for a in [FIElement.delta(poset, field)] + [
+            random_element(poset, field, rng) for _ in range(3)]:
+        square = boxed_convolve(a, a)
+        got = jordan_product(a, a)
+        assert got == boxed_add(square, square) and holds_canonical_values(got)
+        assert jordan_product(a, FIElement(poset, field, a.coeffs)) == got
 
 
 @given(instances(RING_FIELDS))

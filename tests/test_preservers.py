@@ -44,6 +44,7 @@ from incalg import (
 )
 from incalg.algebra import format_element
 from incalg.preservers import (
+    _first_full_block_pattern,
     _first_full_pattern,
     find_jordan_counterexample,
     find_nonpreserved_unit,
@@ -51,7 +52,8 @@ from incalg.preservers import (
     iter_idempotents,
 )
 
-from conftest import F2, F3, F5, POSET_POOL, Q, RING_FIELDS, random_rational, scalars
+from conftest import (
+    F2, F3, F5, POSET_POOL, Q, RING_FIELDS, holds_canonical_values, random_rational, scalars)
 
 CHAIN2 = builtin_poset("chain:2")
 CHAIN3 = builtin_poset("chain:3")
@@ -224,11 +226,19 @@ def test_pattern_witnesses_hold_canonical_values():
     assert all(type(c.value) is Fraction for c in witness.coeffs)
 
 
-def _holds_canonical_values(a: FIElement) -> bool:
-    field = a.field
-    if field == Q:
-        return all(type(c.value) is Fraction for c in a.coeffs)
-    return all(type(c.value) is int and 0 <= c.value < field.p for c in a.coeffs)
+@pytest.mark.parametrize("field", [F3, Q], ids=str)
+def test_block_pattern_closed_form_matches_the_span_scan(field):
+    """For a partition, the first pattern that reaches X is the indicator of
+    the nonempty blocks' elements: for every owner function with n <= 5 it
+    is the witness of the span scan, with ``Fraction`` values over Q."""
+    for n in range(1, 6):
+        chain = builtin_poset(f"chain:{n}")
+        for owners in product(range(n), repeat=n):
+            blocks = PartitionEndo.from_owners(chain.elements, owners).blocks
+            witness = _first_full_block_pattern(chain, field, blocks)
+            assert witness == _first_full_pattern(chain, field, blocks)
+            assert (witness is None) == (len(set(owners)) == n)
+            assert witness is None or holds_canonical_values(witness)
 
 
 @pytest.mark.parametrize("field", [F2, F3, F5, Q], ids=str)
@@ -247,7 +257,7 @@ def test_unchecked_elements_hold_canonical_values(field):
         return random_rational(rng) if field == Q else rng.randrange(field.p)
 
     delta = FIElement.delta(CHAIN3, field)
-    assert _holds_canonical_values(delta)
+    assert holds_canonical_values(delta)
     e00, e11 = ([field.canonical(int(k == x)) for k in range(d)] for x in (0, 1))
     for a, b in ((e11, e00), (e00, e11)):
         product_values = field.convolve(CHAIN3.convolution_plan, a, b)
@@ -258,13 +268,13 @@ def test_unchecked_elements_hold_canonical_values(field):
     for _ in range(20):
         phi = LinearMap.from_rows(CHAIN3, field, [[value() for _ in range(d)] for _ in range(d)])
         a = FIElement.from_vector(CHAIN3, field, [value() for _ in range(d)])
-        assert _holds_canonical_values(phi.apply(a))
-        assert _holds_canonical_values(phi.apply(delta))
+        assert holds_canonical_values(phi.apply(a))
+        assert holds_canonical_values(phi.apply(delta))
         b = FIElement.from_vector(CHAIN3, field, [value() for _ in range(d)])
-        assert _holds_canonical_values(a * b) and _holds_canonical_values(a * a)
+        assert holds_canonical_values(a * b) and holds_canonical_values(a * a)
         unit = FIElement.from_vector(
             CHAIN3, field, [value() or 1 if k < CHAIN3.n else value() for k in range(d)])
-        assert _holds_canonical_values(unit.inverse())
+        assert holds_canonical_values(unit.inverse())
     images = [(0b011, 0b100, 0b000), (0b001, 0b010, 0b100), (0b111, 0b000, 0b000)]
     witnesses = [_first_full_pattern(CHAIN3, field, im) for im in images]
     if field != Q:
@@ -275,7 +285,7 @@ def test_unchecked_elements_hold_canonical_values(field):
         killer = LinearMap.from_rows(CHAIN2, field, [[1, field.p - 1, 0], [0, 1, 0], [0, 0, 1]])
         witnesses.append(find_nonpreserved_unit(killer))
     assert sum(w is not None for w in witnesses) == len(witnesses) - 1
-    assert all(_holds_canonical_values(w) for w in witnesses if w is not None)
+    assert all(holds_canonical_values(w) for w in witnesses if w is not None)
 
 
 def test_equal_values_over_different_fields_stay_unequal():

@@ -30,6 +30,7 @@ from incalg import (
     count_from_theorem,
     enumerate_preservers,
     enumerate_specs,
+    format_preserver_spec,
     is_strong,
     merge_census,
     preserves_inverses,
@@ -784,6 +785,22 @@ def test_random_specs_respect_field_regime():
     assert isinstance(random_preserver_spec(CHAIN2, F2, rng).endo, XorEndo)
     assert isinstance(random_preserver_spec(CHAIN2, F3, rng).endo, PartitionEndo)
     assert isinstance(random_preserver_spec(CHAIN2, Q, rng).endo, PartitionEndo)
+
+
+def test_random_specs_are_pinned():
+    """Seeded specs over F2, F3 and Q, and the generator's state after them,
+    hashed: the sampler draws the same values in the same order."""
+    digest = hashlib.sha256()
+    for name in ("chain:3", "v", "antichain:3", "chain:4"):
+        poset = builtin_poset(name)
+        for field in (F2, F3, Q):
+            rng = random.Random(7)
+            for _ in range(5):
+                digest.update(format_preserver_spec(
+                    random_preserver_spec(poset, field, rng)).encode())
+            digest.update(repr(rng.random()).encode())
+    assert digest.hexdigest() == (
+        "162c7c3997d302afc2f714ac5ca802419ae1b536f3ac09bfded565a11986fc9c")
 
 
 # each scan gates its own cost ----------------------------------------------------
