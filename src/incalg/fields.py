@@ -59,7 +59,8 @@ _INTEGER = re.compile(r"[+-]?[0-9]+")
 _RATIONAL = re.compile(
     r"[+-]?(?:[0-9]+/0*[1-9][0-9]*|(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?)")
 
-# the value of every rational sum worth 0; a Fraction is immutable, so one serves
+# every rational value worth 0, as ``Rationals.canonical`` and every sum
+# return it; a Fraction is immutable, so one serves
 _ZERO = Fraction(0)
 
 
@@ -240,7 +241,10 @@ class Rationals(Field):
         return self.reduce(_exact(value, self))
 
     def canonical(self, value) -> Fraction:
-        # a sum over no terms is the int 0; Fraction(Fraction) would be slow
+        # every zero is the shared one, so tuples of values compare their
+        # zeros by identity; Fraction(Fraction) would be slow
+        if not value:
+            return _ZERO
         return value if type(value) is Fraction else Fraction(value)
 
     # Each kernel lists an output's nonzero terms as (numerator, denominator)

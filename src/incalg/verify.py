@@ -63,6 +63,7 @@ from .preservers import (
     preserves_inverses,
     preserves_invertibility,
     psi_to_json,
+    _block_columns,
     _first_full_block_pattern,
     _first_full_pattern,
     _first_pattern,
@@ -190,26 +191,40 @@ def classify(phi: LinearMap) -> PreserverSpec:
     arbitrary field. Every refutation names the violated law, and carries a
     witness where one is cheap to name. No scan runs, so no gate applies
     below the algebra's own cap.
+
+    With |K| > 2, lambda is read off the diagonal block: its columns are
+    the images of the singletons. Once phi fixes the identity, each block
+    row sums to 1, and ``_block_columns`` leaves only 0/1 entries with at
+    most one 1 per row, so the columns partition X; the subset table and
+    its laws (``lb-separating``, ``lb-preserves-diff-and-cap``) then hold,
+    and they run only after a failed rebuild, before naming the refutation.
+    Over F_2 lambda is the subset table's GF(2) matrix.
     """
-    delta = FIElement.delta(phi.poset, phi.field)
+    poset, field = phi.poset, phi.field
+    delta = FIElement.delta(poset, field)
     if phi.apply(delta) != delta:
         raise ClassificationError("unital", "the map does not fix the identity",
                                   witness=format_element(phi.apply(delta)))
-    table = extract_subset_map(phi)
-    if phi.field.cardinality == 2:
-        endo: PartitionEndo | XorEndo = to_xor_endo(table)
+    if field.cardinality == 2:
+        endo: PartitionEndo | XorEndo = to_xor_endo(extract_subset_map(phi))
     else:
+        endo = PartitionEndo(poset.elements, _block_columns(phi))
+    spec = PreserverSpec._of_parts(poset, field, endo, extract_radical_map(phi))
+    if build_preserver(spec) == phi:
+        return spec
+    if field.cardinality == 2:
+        law = "inv-pres-over-Z_2"
+    else:
+        # cannot refute here (see above); perfbench's classify-q pins these
+        # calls until ROADMAP item 1 unpins them and item 19 deletes them
+        table = extract_subset_map(phi)
         if not is_separating(table):
             raise ClassificationError(
                 "lb-separating", "extracted subset map is not separating")
-        endo = to_partition(table)
-    spec = PreserverSpec._of_parts(phi.poset, phi.field, endo, extract_radical_map(phi))
-    rebuilt = build_preserver(spec)
-    if rebuilt != phi:
-        law = "inv-pres-over-Z_2" if phi.field.cardinality == 2 else "inv-pres-for-|K|>2"
-        raise ClassificationError(
-            law, "normal form does not rebuild the map, so the map is not a preserver")
-    return spec
+        to_partition(table)
+        law = "inv-pres-for-|K|>2"
+    raise ClassificationError(
+        law, "normal form does not rebuild the map, so the map is not a preserver")
 
 
 def count_from_theorem(poset: Poset, field: Field) -> int:

@@ -30,7 +30,9 @@ builds psi = phi(delta)^-1 phi from boxed products and rebuilds it through
 ``LinearMap.from_basis_images``, where the library convolves the values of
 each column of the matrix. :func:`plain_record_json` formats one census
 record entry by entry, where ``CensusReport.to_json`` formats each distinct
-row and lambda image of a report once.
+row and lambda image of a report once. :func:`table_classify` is
+``classify`` as it decided every field through the 2^n subset table and its
+laws, where the library reads lambda off the diagonal block when |K| > 2.
 """
 
 from itertools import product
@@ -41,7 +43,10 @@ from incalg.endos import (
     SubsetMapTable,
     XorEndo,
     endo_to_json,
+    is_separating,
     labels_of,
+    to_partition,
+    to_xor_endo,
 )
 from incalg.errors import (
     ClassificationError,
@@ -49,7 +54,16 @@ from incalg.errors import (
     MismatchError,
     NotAUnitError,
 )
-from incalg.preservers import LinearMap, _gate, _require_prime, psi_to_json
+from incalg.preservers import (
+    LinearMap,
+    PreserverSpec,
+    _gate,
+    _require_prime,
+    build_preserver,
+    extract_radical_map,
+    extract_subset_map,
+    psi_to_json,
+)
 from incalg.verify import _lemma_checks
 
 
@@ -394,3 +408,25 @@ def plain_record_json(record, field):
         "strong": record.strong,
         "bijective": record.bijective,
     }
+
+
+def table_classify(phi):
+    delta = FIElement.delta(phi.poset, phi.field)
+    if phi.apply(delta) != delta:
+        raise ClassificationError("unital", "the map does not fix the identity",
+                                  witness=format_element(phi.apply(delta)))
+    table = extract_subset_map(phi)
+    if phi.field.cardinality == 2:
+        endo = to_xor_endo(table)
+    else:
+        if not is_separating(table):
+            raise ClassificationError(
+                "lb-separating", "extracted subset map is not separating")
+        endo = to_partition(table)
+    spec = PreserverSpec._of_parts(phi.poset, phi.field, endo, extract_radical_map(phi))
+    rebuilt = build_preserver(spec)
+    if rebuilt != phi:
+        law = "inv-pres-over-Z_2" if phi.field.cardinality == 2 else "inv-pres-for-|K|>2"
+        raise ClassificationError(
+            law, "normal form does not rebuild the map, so the map is not a preserver")
+    return spec

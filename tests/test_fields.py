@@ -9,11 +9,13 @@ from incalg import (
     FIElement,
     IncalgError,
     InfiniteFieldError,
+    LinearMap,
     ParseError,
     PrimeField,
     ScalarError,
     builtin_poset,
     format_field,
+    format_linear_map,
     parse_field,
     parse_linear_map,
 )
@@ -371,6 +373,26 @@ def test_a_rational_sum_worth_zero_is_the_shared_zero():
     assert Q.row_sums([[half, -half, third]], 2)[0] is fields._ZERO
     assert Q.matvec([[half, third]], [(0, 2), (1, -3)])[0] is fields._ZERO
     assert Q.convolve([[(0, 1), (1, 0)]], [half, third], [-half, third])[0] is fields._ZERO
+
+
+def test_every_rational_zero_is_the_shared_zero():
+    """``Q.canonical`` returns the shared zero for the int 0 and for every
+    ``Fraction`` worth 0, so Q's zero, a scalar difference that cancels, and
+    the zeros of the identity map, of a map read from rows and of a parsed
+    map are one object, and tuples of values compare them by identity."""
+    for value in (0, Fraction(0), Fraction(0, 7), -Fraction(0), 5 - 5):
+        assert Q.canonical(value) is fields._ZERO
+    assert Q.zero.value is fields._ZERO
+    assert (Q.scalar(Fraction(1, 2)) - Q.scalar(Fraction(2, 4))).value is fields._ZERO
+    assert Q.parse_scalar("0/3").value is fields._ZERO
+    assert Q.canonical(Fraction(3, 2)) == Fraction(3, 2) and Q.canonical(2) == Fraction(2)
+    chain = builtin_poset("chain:2")
+    identity = LinearMap.identity(chain, Q)
+    half = Fraction(1, 2)
+    maps = [identity, LinearMap.from_rows(chain, Q, [[half, half, 0], [0, 1, 0], [0, 0, 0]]),
+            parse_linear_map(format_linear_map(identity))]
+    for phi in maps:
+        assert {id(v) for row in phi.values for v in row if not v} == {id(fields._ZERO)}
 
 
 def test_rational_kernels_keep_the_lcm_of_the_term_denominators(monkeypatch):

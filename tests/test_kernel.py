@@ -6,7 +6,8 @@ diagonal-pattern scans, the Jordan scan read off the matrix columns, the
 lemma laws read off the matrix and the sample's coefficient tuples, and the
 row-sum checks of ``is_unital`` and ``PreserverSpec``, and the reduction
 psi = phi(delta)^-1 phi of a non-unital map) against the boxed-``Scalar``
-reference in ``boxed_reference.py``, and of the verdicts that
+reference in ``boxed_reference.py``, of ``classify`` against the subset
+table path it replaced there, and of the verdicts that
 ``analyze_map`` reads off the normal form against the brute-force scans.
 The reports of a seeded batch over Q, and of a seeded non-unital batch
 over F2, F3, F5 and Q, are pinned by their digests."""
@@ -16,7 +17,7 @@ import hashlib
 import json
 import random
 from fractions import Fraction
-from operator import or_
+from operator import or_, xor
 from unittest.mock import patch
 
 import pytest
@@ -39,11 +40,14 @@ from incalg import (
     classify,
     enumerate_preservers,
     extract_subset_map,
+    is_boolean_endo,
+    is_separating,
     random_preserver_spec,
     to_xor_endo,
 )
 from incalg.algebra import basis_element, format_element, jordan_product
 from incalg.preservers import (
+    _block_columns,
     _rank_of_values,
     find_inverse_counterexample,
     find_jordan_counterexample,
@@ -76,9 +80,10 @@ from boxed_reference import (
     boxed_sub,
     boxed_to_xor_endo,
     boxed_unital_reduction,
+    table_classify,
 )
 from conftest import (
-    F2, F3, F5, POSET_POOL, PRIME_FIELDS, Q, RING_FIELDS, holds_canonical_values,
+    F2, F3, F5, F7, POSET_POOL, PRIME_FIELDS, Q, RING_FIELDS, holds_canonical_values,
     random_rational, random_xor_endo)
 
 MAP_KINDS = ["sparse", "zero-one", "unital", "stage-ii", "preserver", "perturbed"]
@@ -412,6 +417,104 @@ def test_classified_specs_pass_the_spec_checks(instance):
             continue
         assert boxed_spec_checks(poset, field, spec.endo, spec.radical_map) is None
         assert spec == PreserverSpec(poset, field, spec.endo, spec.radical_map)
+
+
+BLOCK_FIELDS = [F3, F5, F7, Q]
+# the law each change of ``block_refutations`` makes ``classify`` name
+BLOCK_LAWS = {"value": "from-vf-to-lb", "pair": "from-vf-to-lb",
+              "radical": "inv-pres-for-|K|>2", "unital": "unital"}
+
+
+def block_refutations(spec, rng: random.Random) -> dict[str, LinearMap]:
+    """The preserver of ``spec`` (|K| > 2) with one change for each way
+    ``classify`` refutes: ``value`` moves c out of a diagonal-output row's 1
+    into another block column (c not 0 or -1, so neither entry is 0 or 1
+    and the row sum stays 1); ``pair`` (n >= 3) makes a block row 1, 1, -1
+    in three ascending columns, so the row still sums to 1 and the first
+    two columns meet; ``radical`` (d > n) puts c at a radical column of a
+    diagonal-output row; ``unital`` adds c to an entry of a diagonal
+    column."""
+    poset, field = spec.poset, spec.field
+    n, d = poset.n, poset.dimension
+    y = rng.randrange(n)
+    x = spec.endo.owners()[y]
+    while True:
+        c = field.canonical(_value(field, rng, zero_share=0))
+        if c and c != field.canonical(-1):
+            break
+    edits = {"value": [(y, x, 1 + c), (y, (x + 1 + rng.randrange(n - 1)) % n, -c)],
+             "unital": [(rng.randrange(d), rng.randrange(n), c)]}
+    if n >= 3:
+        j1, j2, j3 = sorted(rng.sample(range(n), 3))
+        edits["pair"] = [(y, j, 0) for j in range(n)] + [(y, j1, 1), (y, j2, 1), (y, j3, -1)]
+    if d > n:
+        edits["radical"] = [(y, rng.randrange(n, d), c)]
+    values = build_preserver(spec).values
+    maps = {}
+    for kind, entries in edits.items():
+        rows = [list(row) for row in values]
+        for i, j, v in entries:
+            rows[i][j] = v + (rows[i][j] if kind == "unital" else 0)
+        maps[kind] = LinearMap.from_rows(poset, field, rows)
+    return maps
+
+
+@given(instances(BLOCK_FIELDS))
+def test_block_columns_of_a_unital_map_partition_x(instance):
+    """With |K| > 2, a unital map whose block passes ``_block_columns`` has
+    columns that partition X, and its subset table is separating and a
+    Boolean endomorphism, so ``classify`` reads lambda off the columns and
+    the table's laws cannot refute. Each change of ``block_refutations``
+    refutes with its own law; two 1s in a row name the pair of columns."""
+    poset, field, kind, rng = instance
+    spec = random_preserver_spec(poset, field, rng)
+    refuting = block_refutations(spec, rng)
+    maps = [build_preserver(spec), *refuting.values(),
+            *perturbed_maps(random_map(poset, field, kind, rng), rng)]
+    for phi in maps:
+        if not phi.is_unital():
+            continue
+        try:
+            columns = _block_columns(phi)
+        except ClassificationError:
+            continue
+        assert sum(c.bit_count() for c in columns) == poset.n
+        assert functools.reduce(or_, columns) == (1 << poset.n) - 1
+        table = extract_subset_map(phi)
+        assert is_separating(table) and is_boolean_endo(table)
+    for change, phi in refuting.items():
+        result = outcome(classify, phi)
+        assert result[:2] == ("refuted", BLOCK_LAWS[change])
+        assert phi.is_unital() == (change != "unital")
+    if "pair" in refuting:
+        row = next(r for r in refuting["pair"].values[:poset.n] if r.count(1) == 2)
+        first, second = (poset.elements[j] for j, v in enumerate(row) if v == 1)
+        assert outcome(_block_columns, refuting["pair"])[3] == f"A = {{{first}, {second}}}"
+
+
+@given(instances([F2]), st.sampled_from(["unital", "stage-ii", "preserver", "perturbed"]))
+def test_a_unital_map_over_f2_has_columns_xoring_to_x(instance, kind):
+    """Over F2 each block row of a unital map sums to 1, so it has odd
+    weight: the block columns XOR to X, and ``to_xor_endo`` takes the
+    subset table with those columns."""
+    poset, field, _, rng = instance
+    phi = random_map(poset, field, kind, rng)
+    assert phi.is_unital()
+    columns = _block_columns(phi)
+    assert functools.reduce(xor, columns) == (1 << poset.n) - 1
+    assert to_xor_endo(extract_subset_map(phi)).columns == columns
+
+
+@given(instances(BLOCK_FIELDS))
+def test_classify_matches_the_table_reference(instance):
+    """``classify`` gives the spec, or the law, message and witness, of the
+    table path it replaced, on every map kind, its perturbed copies and
+    each change of ``block_refutations``."""
+    poset, field, kind, rng = instance
+    maps = perturbed_maps(random_map(poset, field, kind, rng), rng)
+    maps += block_refutations(random_preserver_spec(poset, field, rng), rng).values()
+    for phi in maps:
+        assert outcome(classify, phi) == outcome(table_classify, phi)
 
 
 @pytest.mark.parametrize("name, field", [("chain:2", F3), ("antichain:3", F3), ("v", F2)])

@@ -207,6 +207,36 @@ def test_census_builds_no_checked_map(monkeypatch):
         assert len(report.to_json()["maps"]) == count
 
 
+def test_classify_accepts_without_the_subset_table(monkeypatch):
+    """With |K| > 2 ``classify`` reads lambda off the diagonal block: with
+    the subset table and its laws made to raise, it still accepts the
+    chain:16 and antichain:16 identities over Q and seeded preservers over
+    F3, F5 and Q, and the chain:2 and antichain:3 censuses over F3 keep
+    their counts and pinned digests."""
+    import incalg
+    from incalg import endos, preservers, verify
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("subset table or law called on the accept path")
+
+    for name in ("extract_subset_map", "is_separating", "is_boolean_endo", "to_partition"):
+        for module in (incalg, endos, preservers, verify):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse)
+    for name in ("chain:16", "antichain:16"):
+        phi = LinearMap.identity(builtin_poset(name), Q)
+        assert build_preserver(classify(phi)) == phi
+    rng = random.Random(0)
+    for field in (F3, F5, Q):
+        for poset in POSET_POOL:
+            spec = random_preserver_spec(poset, field, rng)
+            assert classify(build_preserver(spec)) == spec
+    for poset, count in ((CHAIN2, 36), (ANTI3, 27)):
+        report = enumerate_preservers(poset, F3)
+        assert report.oracle_count == count
+        assert census_digest(report.to_json()) == CENSUS_PINS[_census_key(poset, F3)]
+
+
 def _split_census(poset, field, split):
     space = field.p ** (poset.dimension ** 2)
     return merge_census(enumerate_preservers(poset, field, 0, split),

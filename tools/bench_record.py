@@ -11,8 +11,9 @@ side), this runs, each in a fresh child process:
   untraced (``--trace 0``: the end-to-end metrics) and traced
   (``--trace 1``: the per-layer metrics);
 - the walls that no workload covers: ``analyze_map`` (what ``incalg check``
-  runs) on the identity maps of chain:12 and chain:16 over Q and of chain:6
-  over Fp 2, and the census of v over Fp 2.
+  runs) on the identity maps of chain:12, chain:16 and antichain:16 over Q
+  and of chain:6 over Fp 2, ``classify`` on the chain:16 identity over Q,
+  and the census of v over Fp 2.
 
 The children run with ``PYTHONDONTWRITEBYTECODE`` dropped and
 ``PYTHONPYCACHEPREFIX`` set to a temporary directory, so the first run of a
@@ -41,7 +42,7 @@ WALLS = r"""
 import json, sys, time
 sys.path.insert(0, "src")
 from incalg import LinearMap, PrimeField, Rationals, analyze_map, builtin_poset
-from incalg import enumerate_preservers
+from incalg import classify, enumerate_preservers
 
 def timed(call):
     t0 = time.perf_counter()
@@ -50,9 +51,11 @@ def timed(call):
 
 out = {}
 for name, field in (("chain:12", Rationals()), ("chain:16", Rationals()),
-                    ("chain:6", PrimeField(2))):
+                    ("antichain:16", Rationals()), ("chain:6", PrimeField(2))):
     phi = LinearMap.identity(builtin_poset(name), field)
     out[f"check {name}/{field} identity"] = timed(lambda: analyze_map(phi))
+phi = LinearMap.identity(builtin_poset("chain:16"), Rationals())
+out["classify chain:16/Q identity"] = timed(lambda: classify(phi))
 out["census v/Fp 2"] = timed(lambda: enumerate_preservers(builtin_poset("v"), PrimeField(2)))
 print(json.dumps(out))
 """
